@@ -687,8 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("process", "thread"),
         default="process",
-        help="worker pool backend (process pools fall back to threads "
-        "where unavailable)",
+        help="worker backend: forked worker processes, or threads of "
+        "the gateway; each worker serves calls over its own socketpair "
+        "(process falls back to thread where forking is unavailable)",
     )
     serve.add_argument(
         "--rate",

@@ -13,17 +13,28 @@ Life of a request:
 2. **admit** — the session ring's token bucket and pending bound decide;
    rejections are explicit (``rate_limited`` / ``queue_full`` with
    ``retry_after``), never silent drops;
-3. **execute** — the job runs on whichever pool worker is free, guarded
-   by ``call_timeout``.  A timeout answers the client immediately; the
-   worker-side call is not interruptible (one machine step is atomic
-   host Python), so its slot is released — and its metrics counted —
-   when it actually finishes, keeping the accounting exact;
+3. **execute** — :meth:`WorkerPool.submit` writes the job onto the
+   channel of the first free worker (in session mode, onto the
+   channel of the user's shard), and the reply comes back as a read
+   callback on this same event loop: no executor thread sits between
+   the gateway and its workers.  ``call_timeout`` guards the wait.  A
+   timeout answers the client immediately; the worker-side call is
+   not interruptible (one machine step is atomic host Python), so its
+   slot is released — and its metrics counted — when it actually
+   finishes, keeping the accounting exact;
 4. **account** — per-worker metric sums, latency reservoir, and the
    counter set the ``stats`` verb reports.
 
+A worker that dies breaks its pool: every call the pool held fails
+with ``BrokenExecutor``, the first caller to notice rebuilds the pool
+(promoting warm replicas first when replication is on), and each
+failed call is retried on the new workers, up to ``CALL_ATTEMPTS``.
+
 Shutdown is a drain: stop accepting, reject new calls with
 ``shutting_down``, wait for in-flight calls (bounded by
-``drain_timeout``), then close connections and the pool.
+``drain_timeout``), park live session tenants, then close connections
+and the pool, whose workers exit on their own once their channels
+close.
 
 The ``stats`` verb returns the merged
 :class:`~repro.sim.metrics.MetricsSnapshot` figures, per-worker
@@ -70,7 +81,6 @@ from .standby import ReplicaSet, ReplicationConfig
 from .workers import (
     MACHINE_PROFILES,
     DurabilityConfig,
-    ShardedWorkerPool,
     WorkerPool,
     execute_gate_call,
 )
@@ -342,26 +352,23 @@ class RingGateway:
             raise ConfigurationError("gateway is not started")
         return self._server.sockets[0].getsockname()[1]
 
-    def _build_pool(self):
-        if self._sessions is not None:
-            return ShardedWorkerPool(
-                shards=self.config.workers,
-                backend=self.config.backend,
-                session=self._sessions,
-            )
-        return WorkerPool(
+    async def _start_pool(self) -> WorkerPool:
+        pool = WorkerPool(
             workers=self.config.workers,
             backend=self.config.backend,
             durability=self.config.durability(),
             machine_profile=self.config.machine_profile,
             hardening=self.config.hardening,
+            session=self._sessions,
         )
+        await pool.start()
+        return pool
 
     async def start(self) -> None:
         """Create the worker pool and start accepting connections."""
         if self._server is not None:
             raise ConfigurationError("gateway is already started")
-        self.pool = self._build_pool()
+        self.pool = await self._start_pool()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -408,18 +415,22 @@ class RingGateway:
         if self.pool is not None:
             if self._sessions is not None and self._sessions.store_dir:
                 # park every live tenant so the next incarnation (or
-                # another gateway) can hydrate them from the store
-                for shard in range(self.config.workers):
-                    with contextlib.suppress(Exception):
-                        self.pool.submit(
-                            shard, session_control,
-                            {
-                                "op": "park_all",
-                                "shard": shard,
-                                "ns": self._sessions.namespace,
-                            },
-                        ).result(timeout=self.config.drain_timeout)
-            self.pool.shutdown(wait=True)
+                # another gateway) can hydrate them from the store; the
+                # shards park concurrently under one drain deadline
+                with contextlib.suppress(
+                    BrokenExecutor, RuntimeError, asyncio.TimeoutError
+                ):
+                    await asyncio.wait_for(
+                        asyncio.gather(
+                            *(
+                                self._session_op(shard, "park_all")
+                                for shard in range(self.config.workers)
+                            ),
+                            return_exceptions=True,
+                        ),
+                        timeout=self.config.drain_timeout,
+                    )
+            await self.pool.shutdown(wait=True)
             self.pool = None
         if self._replicas is not None:
             # after the pool drained: the shippers do one final
@@ -440,12 +451,8 @@ class RingGateway:
         async with self._recovery_lock:
             if self._pool_epoch != observed_epoch or self._draining:
                 return
-            loop = asyncio.get_running_loop()
-            old = self.pool
-            if old is not None:
-                await loop.run_in_executor(
-                    None, functools.partial(old.shutdown, True)
-                )
+            if self.pool is not None:
+                await self.pool.shutdown(wait=True)
             if self._replicas is not None:
                 # hot failover: each slot's lowest-lag follower replays
                 # the unshipped journal tail and writes a promotion
@@ -453,7 +460,7 @@ class RingGateway:
                 # slots — the successors then recover with an empty
                 # tail instead of cold-restoring and replaying
                 self.counters.promotions += await self._replicas.promote_all()
-            self.pool = await loop.run_in_executor(None, self._build_pool)
+            self.pool = await self._start_pool()
             self._pool_epoch += 1
             self.counters.recoveries += 1
 
@@ -467,7 +474,6 @@ class RingGateway:
         each shard's single worker, so it only runs while idle and
         never delays a real call that is already queued.
         """
-        loop = asyncio.get_running_loop()
         while not self._draining:
             await asyncio.sleep(self.config.prefetch_interval)
             if self._inflight or self._draining or self.pool is None:
@@ -476,19 +482,22 @@ class RingGateway:
                 if self._inflight or self._draining:
                     break
                 try:
-                    result = await loop.run_in_executor(
-                        self.pool.executor_for(shard),
-                        session_control,
-                        {
-                            "op": "prefetch",
-                            "shard": shard,
-                            "limit": self.config.prefetch_batch,
-                            "ns": self._sessions.namespace,
-                        },
+                    result = await self._session_op(
+                        shard, "prefetch", limit=self.config.prefetch_batch
                     )
                 except (BrokenExecutor, RuntimeError, AttributeError):
                     break
                 self.counters.prefetch_hydrated += result.get("hydrated", 0)
+
+    def _session_op(
+        self, shard: int, op: str, **fields: Any
+    ) -> asyncio.Future:
+        """Submit one shard maintenance op (see
+        :func:`~repro.serve.sessions.session_control`) to its worker."""
+        request = {"op": op, "shard": shard, "ns": self._sessions.namespace}
+        return self.pool.submit(
+            session_control, {**request, **fields}, worker=shard
+        )
 
     # -- connection handling -----------------------------------------------
 
@@ -672,15 +681,11 @@ class RingGateway:
             try:
                 if self._sessions is not None:
                     job["epoch"] = epoch
-                    future = loop.run_in_executor(
-                        self.pool.executor_for(job["shard"]),
-                        execute_session_call,
-                        job,
+                    future = self.pool.submit(
+                        execute_session_call, job, worker=job["shard"]
                     )
                 else:
-                    future = loop.run_in_executor(
-                        self.pool.executor, execute_gate_call, job
-                    )
+                    future = self.pool.submit(execute_gate_call, job)
             except (BrokenExecutor, RuntimeError) as exc:
                 # the submit itself failed: no future was created, so
                 # this call still holds its admission slot
@@ -692,14 +697,11 @@ class RingGateway:
                         self._call_finished, loop, session.ring, started
                     )
                 )
-                try:
-                    result = await asyncio.wait_for(
-                        asyncio.shield(future),
-                        timeout=self.config.call_timeout,
-                    )
-                    failure = None
-                    break
-                except asyncio.TimeoutError:
+                # asyncio.wait never cancels what it waits on
+                done, _ = await asyncio.wait(
+                    (future,), timeout=self.config.call_timeout
+                )
+                if not done:
                     # The response is a timeout; the worker-side call
                     # still runs to completion and is accounted by
                     # _call_finished, so the stats cross-check stays
@@ -710,6 +712,10 @@ class RingGateway:
                         request_id,
                         timeout=self.config.call_timeout,
                     )
+                try:
+                    result = future.result()
+                    failure = None
+                    break
                 except BrokenExecutor as exc:
                     # the pool died under the call; _call_finished just
                     # released our slot — reclaim it for the retry
@@ -915,18 +921,8 @@ class RingGateway:
                 detail="park requires a user name",
             )
         shard = stable_shard(user, self.config.workers)
-        loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                self.pool.executor_for(shard),
-                session_control,
-                {
-                    "op": "park",
-                    "shard": shard,
-                    "user": user,
-                    "ns": self._sessions.namespace,
-                },
-            )
+            result = await self._session_op(shard, "park", user=user)
         except (BrokenExecutor, RuntimeError, AttributeError) as exc:
             return error_response(
                 ErrorCode.SHUTTING_DOWN
@@ -950,31 +946,19 @@ class RingGateway:
         payload = self.stats_payload(request_id)
         if self._sessions is None or self.pool is None:
             return payload
-        loop = asyncio.get_running_loop()
-        shards: List[Dict[str, Any]] = []
-        for shard in range(self.config.workers):
-            try:
-                shards.append(
-                    await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self.pool.executor_for(shard),
-                            session_control,
-                            {
-                                "op": "stats",
-                                "shard": shard,
-                                "ns": self._sessions.namespace,
-                            },
-                        ),
-                        timeout=self.config.call_timeout,
-                    )
-                )
-            except (
-                BrokenExecutor,
-                RuntimeError,
-                AttributeError,
-                asyncio.TimeoutError,
-            ):
-                continue
+
+        async def shard_stats(shard: int) -> Dict[str, Any]:
+            return await asyncio.wait_for(
+                self._session_op(shard, "stats"),
+                timeout=self.config.call_timeout,
+            )
+
+        # a shard that is broken, stopping or slow is left out
+        replies = await asyncio.gather(
+            *(shard_stats(shard) for shard in range(self.config.workers)),
+            return_exceptions=True,
+        )
+        shards = [reply for reply in replies if isinstance(reply, dict)]
         summable = [
             "live", "parked", "created", "hydrated", "prefetch_hydrated",
             "prefetch_hits", "parks", "evictions", "cold_calls",

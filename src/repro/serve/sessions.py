@@ -36,8 +36,8 @@ layer is built on:
 
 Worker shards: the gateway consistent-hashes each user onto one shard
 (:func:`repro.sim.fleet.stable_shard`) and each shard runs on its own
-single-worker executor, so a tenant's machine state always lives in
-exactly one process.  The shard-side state in this module is keyed by
+pool worker, so a tenant's machine state always lives in exactly one
+process.  The shard-side state in this module is keyed by
 shard index, which keeps the thread fallback (all shards in one
 process) and the process backend (one shard per child) on the same
 code path.
@@ -90,8 +90,8 @@ TENANT_MEMORY_WORDS = 1 << 16
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Shard-side session configuration (picklable: it crosses the
-    process-pool boundary as an initializer argument).
+    """Shard-side session configuration (handed to each forked shard
+    worker's initializer).
 
     ``max_live`` bounds the live slots *per shard*; ``store_dir`` backs
     parked tenants (and their WAL tails) with files shared across
@@ -160,6 +160,8 @@ class SessionStore:
     pointer file electing the shape's base; concurrent first-parkers
     may both publish a base, but deltas reference their base by digest,
     so every delta stays resolvable no matter who wins the pointer.
+    The pointer appears atomically with its digest in it, so a loser
+    never reads a pointer its winner has not finished writing.
     """
 
     def __init__(self, dir: Optional[str] = None):
@@ -232,24 +234,29 @@ class SessionStore:
                 self._bases[digest] = candidate
                 self._shape_digest[shape] = digest
                 return candidate
-        # On-disk election: publish the candidate base, then try to
-        # point the shape at it with an exclusive create.  A loser
-        # adopts the winner's digest; its published base stays on disk
-        # for any deltas already referencing it.
+        # On-disk election: publish the candidate base, write the
+        # pointer under a private name, then link it into place — the
+        # link fails if the shape already has a pointer, and otherwise
+        # makes the complete pointer visible at once.  A loser adopts
+        # the winner's digest; its published base stays on disk for
+        # any deltas already referencing it.
         digest = snapshot_digest(candidate)
         base_path = self._base_path(digest)
         if not os.path.exists(base_path):
             write_snapshot_file(candidate, base_path)
         pointer = self._pointer_path(shape)
+        draft = f"{pointer}.{os.getpid()}-{threading.get_ident()}.tmp"
+        with open(draft, "w") as handle:
+            handle.write(digest)
+            handle.flush()
+            os.fsync(handle.fileno())
         try:
-            fd = os.open(pointer, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            with os.fdopen(fd, "w") as handle:
-                handle.write(digest)
-                handle.flush()
-                os.fsync(handle.fileno())
+            os.link(draft, pointer)
         except FileExistsError:
             with open(pointer, "r") as handle:
                 digest = handle.read().strip()
+        finally:
+            os.unlink(draft)
         base = self.base_by_digest(digest)
         with self._lock:
             self._shape_digest[shape] = digest
@@ -639,7 +646,7 @@ class SessionPool:
 
 
 # ---------------------------------------------------------------------------
-# worker-side entry points (the shard executors call these)
+# worker-side entry points (the shard workers run these)
 # ---------------------------------------------------------------------------
 
 _CONFIGS: Dict[str, SessionConfig] = {}
@@ -659,7 +666,7 @@ def configure_sessions(config: SessionConfig) -> None:
 
 
 def _init_session_worker(config: SessionConfig) -> None:
-    """Process-pool child initializer: drop forked-in shard state."""
+    """Forked shard worker initializer: drop forked-in shard state."""
     configure_sessions(config)
 
 
@@ -679,7 +686,7 @@ def _pool(namespace: str, shard: int) -> SessionPool:
 
 
 def session_ping(shard: int, token: int) -> Dict[str, Any]:
-    """Liveness probe for a shard executor."""
+    """Liveness probe for a shard worker."""
     return {"shard": shard, "token": token, "pid": os.getpid()}
 
 

@@ -1,4 +1,4 @@
-"""Persistent-machine workers behind a ``concurrent.futures`` pool.
+"""Persistent-machine workers behind asyncio worker channels.
 
 The fleet driver (:mod:`repro.sim.fleet`) builds a fresh machine per
 shard — right for batch sweeps, far too slow for serving (machine
@@ -7,15 +7,31 @@ keeps one :class:`~repro.sim.machine.Machine` alive per pool worker and
 routes every request to whichever worker is free; programs and user
 processes are installed lazily and cached for the worker's lifetime.
 
+Each worker owns one end of a ``socket.socketpair()``; the gateway
+holds the other end as an :class:`asyncio.Protocol` on its own event
+loop.  A call is one length-prefixed pickled ``(fn, args)`` frame out
+and one ``(ok, value)`` frame back, so the gateway's side of a call is
+a pickle, a socket write, and a read callback — no executor manager
+thread, no queue feeder thread, no cross-thread wake-up.  On the
+``process`` backend each worker is a child forked through
+:mod:`multiprocessing`'s fork context (entry points are pickled by
+reference; after-fork hooks and exit finalizers run as in any
+multiprocessing child); the ``thread`` backend runs each worker as a
+thread of the gateway process.  Both run :func:`serve_channel`, so both
+backends see the same bytes.  :class:`WorkerPool` serves the classic
+layout (any free worker takes the next call) and the session layout
+(each call names its shard's worker) alike.
+
 The machine-facing half lives in :class:`GateCallEngine` — a machine
 plus its program/process caches and cumulative counters, with no pool
 plumbing — so the recovery replayer (:mod:`repro.state.recover`) can
 drive the exact same code path the serving workers use.  Worker state
 (an engine plus its journal and checkpoint files) lives in a
-``threading.local``: a process-backend worker runs tasks on its single
-main thread (one machine per process), a thread-backend worker gets one
-machine per pool thread.  Jobs and results are plain dicts so the
-process boundary is one pickle of small ints and strings either way.
+``threading.local``: a process-backend worker serves its channel on its
+single main thread (one machine per process), a thread-backend worker
+gets one machine per worker thread.  Jobs and results are plain dicts
+so a call crosses the channel as one pickle of small ints and strings
+either way.
 
 With a :class:`DurabilityConfig` installed, each worker claims a *slot*
 — a directory holding its write-ahead journal and periodic snapshots —
@@ -35,19 +51,32 @@ fleet's ``verify_merge`` pins, held across a network boundary.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import functools
 import json
+import multiprocessing
 import os
+import pickle
+import signal
+import socket
+import struct
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+import weakref
+from collections import OrderedDict, deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..cpu.faults import Fault
 from ..errors import ConfigurationError, ReproError
@@ -59,6 +88,9 @@ from ..state.recover import JOURNAL_NAME, SNAPSHOT_NAME, recover_slot
 from ..state.snapshot import snapshot_machine, write_snapshot_file
 from .catalog import build_program
 from .protocol import ErrorCode
+
+if TYPE_CHECKING:
+    from .sessions import SessionConfig
 
 BACKENDS = ("process", "thread")
 
@@ -92,7 +124,7 @@ def configure_machine_profile(profile: str) -> None:
     """Select the machine profile for engines built in this process.
 
     Like :func:`configure_durability`, this is process-level state: the
-    thread backend calls it directly, process-pool children get it via
+    thread backend calls it directly, forked workers get it via
     :func:`_init_worker`.  Restored engines keep the profile of the
     machine that was snapshotted (``hardware_rings`` is serialized), so
     recovery is unaffected.
@@ -120,9 +152,9 @@ def configure_hardening(flags: Tuple[str, ...]) -> None:
     """Select the hardening extensions for engines built in this process.
 
     Process-level state like the machine profile: the thread backend
-    calls it directly, process-pool children get it via
-    :func:`_init_worker`.  Restored engines keep the hardening of the
-    machine that was snapshotted (the config is serialized).
+    calls it directly, forked workers get it via :func:`_init_worker`.
+    Restored engines keep the hardening of the machine that was
+    snapshotted (the config is serialized).
     """
     global _HARDENING
     flags = tuple(flags)
@@ -303,8 +335,8 @@ class GateCallEngine:
 
 @dataclass(frozen=True)
 class DurabilityConfig:
-    """How workers persist their state (picklable — it crosses the
-    process-pool boundary as an initializer argument).
+    """How workers persist their state (handed to each forked worker's
+    initializer).
 
     ``slots`` bounds how many concurrent workers may claim state
     directories under ``dir``; ``checkpoint_interval`` is in executed
@@ -339,8 +371,8 @@ _LIVE_LOCK = threading.Lock()
 def configure_durability(config: Optional[DurabilityConfig]) -> None:
     """Install the durability config for workers created in this process.
 
-    Used directly for the thread backend; process-pool children go
-    through :func:`_init_worker`, which also clears forked-in state.
+    Used directly for the thread backend; forked workers go through
+    :func:`_init_worker`, which also clears forked-in state.
     """
     global _DURABILITY
     _DURABILITY = config
@@ -351,7 +383,7 @@ def _init_worker(
     profile: str = "ringed",
     hardening: Tuple[str, ...] = (),
 ) -> None:
-    """Process-pool child initializer.
+    """Forked worker initializer.
 
     A forked child inherits the parent's module state wholesale —
     including a worker state the parent built by calling
@@ -375,7 +407,7 @@ def release_live_slots() -> None:
 
     Thread-backend pools leave claim files naming our own (live) pid;
     without this, a successor pool in the same process could never
-    reclaim them.  Call only after the executor has drained.
+    reclaim them.  Call only after the pool's workers have stopped.
     """
     with _LIVE_LOCK:
         _LIVE_SLOTS.clear()
@@ -620,15 +652,182 @@ def metrics_architectural(snapshot: MetricsSnapshot) -> Dict[str, int]:
     return snapshot.architectural()
 
 
+
+# ---------------------------------------------------------------------------
+# worker channels
+# ---------------------------------------------------------------------------
+
+#: frame header: the pickled payload's length, little-endian u32
+_FRAME = struct.Struct("<I")
+
+#: how long the start-up probe may take before the process backend is
+#: declared unavailable
+PROBE_TIMEOUT = 60.0
+
+#: how long workers get to exit once shutdown has closed their channels
+EXIT_TIMEOUT = 30.0
+
+#: every channel socket a pool of this process created.  A forked
+#: worker closes all of them but its own: a copy of a sibling's socket
+#: held open would keep that sibling's channel from reaching end of
+#: file when the sibling dies.
+_CHANNEL_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+class WorkerError(ReproError):
+    """A worker-side exception (or result) that cannot cross a channel
+    as itself; carries the original's text."""
+
+
+def _socketpair() -> Tuple[socket.socket, socket.socket]:
+    ours, theirs = socket.socketpair()
+    _CHANNEL_SOCKETS.add(ours)
+    _CHANNEL_SOCKETS.add(theirs)
+    return ours, theirs
+
+
+def _frame(obj: Any) -> bytes:
+    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return _FRAME.pack(len(body)) + body
+
+
+def _reply_frame(ok: bool, value: Any) -> bytes:
+    """One reply frame.  A value that cannot make the round trip comes
+    back as a :class:`WorkerError`, so one bad reply never leaves a
+    caller without an answer."""
+    try:
+        frame = _frame((ok, value))
+        if not ok:
+            # an exception that pickles may still fail to unpickle (a
+            # constructor with required arguments); find out here,
+            # where the original's text is at hand
+            pickle.loads(frame[_FRAME.size:])
+        return frame
+    except Exception as exc:
+        text = str(value) if not ok else f"unpicklable result: {exc}"
+        return _frame((False, WorkerError(text)))
+
+
+def serve_channel(sock: socket.socket) -> None:
+    """Serve the calls arriving on ``sock`` until its peer closes it.
+
+    Every request frame is a pickled ``(fn, args)``; the reply is
+    ``(True, fn(*args))`` or ``(False, exception)``.  Calls on one
+    channel run one at a time in arrival order and each gets exactly
+    one reply, so the gateway matches replies to calls by order alone.
+    """
+    reader = sock.makefile("rb")
+    try:
+        while True:
+            header = reader.read(_FRAME.size)
+            if len(header) < _FRAME.size:
+                return  # the gateway closed the channel: drained
+            (size,) = _FRAME.unpack(header)
+            try:
+                fn, args = pickle.loads(reader.read(size))
+                frame = _reply_frame(True, fn(*args))
+            except Exception as exc:
+                frame = _reply_frame(False, exc)
+            sock.sendall(frame)
+    except OSError:
+        return  # the gateway dropped the channel mid-reply
+    finally:
+        reader.close()
+        sock.close()
+
+
+def _channel_main(
+    sock: socket.socket, initializer: Callable, initargs: Tuple
+) -> None:
+    """Body of a forked worker process: one channel, served to EOF."""
+    for inherited in list(_CHANNEL_SOCKETS):
+        if inherited is not sock:
+            # detach first: a socket with an open reader is otherwise
+            # only marked closed
+            with contextlib.suppress(OSError):
+                os.close(inherited.detach())
+    # The gateway drains a worker by closing its channel, so Ctrl-C
+    # (sent to the whole process group) is ignored here.  Nor may a
+    # signal reach the gateway's event loop through the inherited
+    # wake-up fd.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(ValueError):
+        signal.set_wakeup_fd(-1)
+    initializer(*initargs)
+    serve_channel(sock)
+
+
+class _Channel(asyncio.Protocol):
+    """The gateway's end of one worker's socketpair."""
+
+    def __init__(self, pool: "WorkerPool", index: int):
+        self.pool = pool
+        self.index = index
+        self.transport: Optional[asyncio.Transport] = None
+        #: futures of the calls sent and not yet answered, oldest first
+        self.pending: Deque[asyncio.Future] = deque()
+        #: resolves once the worker's end has closed
+        self.closed: asyncio.Future = pool._loop.create_future()
+        self._partial = b""
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def send(self, future: asyncio.Future, fn: Callable, args: Tuple) -> None:
+        try:
+            frame = _frame((fn, args))
+        except Exception as exc:
+            future.set_exception(exc)
+            return
+        self.pending.append(future)
+        self.transport.write(frame)
+
+    def data_received(self, data: bytes) -> None:
+        if self._partial:
+            data = self._partial + data
+        view = memoryview(data)
+        offset = 0
+        while len(data) - offset >= _FRAME.size:
+            (size,) = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size
+            if len(data) - start < size:
+                break
+            offset = start + size
+            ok, value = pickle.loads(view[start:offset])
+            future = self.pending.popleft()
+            if future.done():  # cancelled by its caller
+                continue
+            if ok:
+                future.set_result(value)
+            else:
+                future.set_exception(value)
+        self._partial = data[offset:]
+        if not self.pending:
+            self.pool._channel_idle(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self.closed.done():
+            self.closed.set_result(None)
+        self.pool._channel_lost(self)
+
+
 class WorkerPool:
-    """A pool of persistent-machine workers.
+    """A pool of persistent-machine workers, one channel each.
 
     ``backend`` is ``"process"`` (real parallelism) or ``"thread"``
-    (GIL-bound but dependency-free); hosts where process pools cannot be
-    created or probed fall back to threads with identical results,
-    mirroring the fleet driver's serial fallback.  ``durability``
-    installs per-worker journaling and checkpointing (see
-    :class:`DurabilityConfig`).
+    (GIL-bound but dependency-free); hosts where worker processes
+    cannot be forked or probed fall back to threads with identical
+    results, mirroring the fleet driver's serial fallback.
+    ``durability`` installs per-worker journaling and checkpointing
+    (see :class:`DurabilityConfig`).  ``session`` selects the session
+    layout: worker ``k`` hosts session shard ``k`` of
+    :mod:`repro.serve.sessions`, and calls name their shard's worker.
+
+    Construct, then ``await start()`` on the event loop that will
+    submit calls.  A worker whose channel closes unexpectedly breaks
+    the whole pool: every queued and in-flight call fails with
+    :class:`~concurrent.futures.BrokenExecutor`, as does every later
+    :meth:`submit`, and the owner replaces the pool.
     """
 
     def __init__(
@@ -638,6 +837,7 @@ class WorkerPool:
         durability: Optional[DurabilityConfig] = None,
         machine_profile: str = "ringed",
         hardening: Tuple[str, ...] = (),
+        session: Optional["SessionConfig"] = None,
     ):
         if workers <= 0:
             raise ConfigurationError("workers must be positive")
@@ -662,127 +862,231 @@ class WorkerPool:
             raise ConfigurationError(
                 "durability needs at least one slot per worker"
             )
+        if session is not None and (
+            durability is not None or machine_profile != "ringed" or hardening
+        ):
+            raise ConfigurationError(
+                "session workers keep their own per-tenant durability and "
+                "run ringed, unhardened machines"
+            )
         self.workers = workers
         self.backend = backend
         self.durability = durability
         self.machine_profile = machine_profile
         self.hardening = hardening
-        self.executor = self._build_executor()
-
-    def _build_executor(self) -> Executor:
-        if self.backend == "process":
-            try:
-                executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        self.durability,
-                        self.machine_profile,
-                        self.hardening,
-                    ),
-                )
-                # Probe one task end to end: pool creation succeeds on
-                # some hosts where the first real submit then dies.
-                executor.submit(worker_ping, 0).result(timeout=60)
-                return executor
-            except (OSError, PermissionError, BrokenExecutor):
-                self.backend = "thread (process pool unavailable)"
-        configure_durability(self.durability)
-        configure_machine_profile(self.machine_profile)
-        configure_hardening(self.hardening)
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="ringworker"
-        )
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool; with ``wait`` the in-flight calls finish."""
-        self.executor.shutdown(wait=wait, cancel_futures=not wait)
-        if wait:
-            release_live_slots()
-
-
-class ShardedWorkerPool:
-    """N single-worker executors, one per session shard.
-
-    The session layer needs worker *affinity*: a tenant's live machine
-    exists in exactly one process, so every call for a user must land
-    on the same executor.  A shared multi-worker pool cannot promise
-    that — this pool gives each shard its own one-worker executor and
-    the gateway routes ``stable_shard(user, shards)`` onto it.
-
-    Backend semantics mirror :class:`WorkerPool`: the process backend
-    is probed end to end on shard 0 and the whole pool falls back to
-    threads when process pools are unavailable (with the session state
-    then keyed by shard index inside the one process — the shard-keyed
-    module state in :mod:`repro.serve.sessions` makes both layouts run
-    the same code).
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        backend: str = "process",
-        session: Optional["SessionConfig"] = None,
-    ):
-        from .sessions import SessionConfig
-
-        if shards <= 0:
-            raise ConfigurationError("shards must be positive")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown worker backend {backend!r}; expected one of "
-                f"{BACKENDS}"
-            )
-        if session is None:
-            raise ConfigurationError("sharded pools need a session config")
-        if not isinstance(session, SessionConfig):
-            raise ConfigurationError(
-                "session must be a SessionConfig, got "
-                f"{type(session).__name__}"
-            )
-        self.shards = shards
-        self.workers = shards
-        self.backend = backend
         self.session = session
-        self._thread_configured = False
-        self._executors: List[Executor] = [
-            self._build_executor(shard) for shard in range(shards)
-        ]
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._channels: List[_Channel] = []
+        self._processes: List[multiprocessing.process.BaseProcess] = []
+        self._threads: List[threading.Thread] = []
+        #: calls waiting for a free worker, oldest first
+        self._queue: Deque[Tuple[asyncio.Future, Callable, Tuple]] = deque()
+        self._broken: Optional[str] = None
+        self._closing = False
 
-    def _build_executor(self, shard: int) -> Executor:
-        from .sessions import (
-            _init_session_worker,
-            configure_sessions,
-            session_ping,
-        )
+    # -- start -------------------------------------------------------------
 
+    async def start(self) -> None:
+        """Start the workers and connect their channels to the running
+        event loop."""
+        self._loop = asyncio.get_running_loop()
         if self.backend == "process":
             try:
-                executor = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_init_session_worker,
-                    initargs=(self.session,),
-                )
-                executor.submit(session_ping, shard, 0).result(timeout=60)
-                return executor
-            except (OSError, PermissionError, BrokenExecutor):
+                await self._start_processes()
+                return
+            except (
+                OSError, ValueError, BrokenExecutor, asyncio.TimeoutError
+            ):
                 self.backend = "thread (process pool unavailable)"
-        if not self._thread_configured:
+        if self.session is not None:
+            from .sessions import configure_sessions
+
             configure_sessions(self.session)
-            self._thread_configured = True
-        return ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"sessionshard{shard}"
-        )
+        else:
+            configure_durability(self.durability)
+            configure_machine_profile(self.machine_profile)
+            configure_hardening(self.hardening)
+        ends = []
+        for index in range(self.workers):
+            ours, theirs = _socketpair()
+            thread = threading.Thread(
+                target=serve_channel,
+                args=(theirs,),
+                name=f"ringworker{index}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+            ends.append(ours)
+        await self._connect(ends)
 
-    def executor_for(self, shard: int) -> Executor:
-        """The executor owning ``shard``."""
-        return self._executors[shard]
+    async def _start_processes(self) -> None:
+        try:
+            await self._connect(self._fork_workers())
+            # Probe one call end to end: forking succeeds on some hosts
+            # where the first real call then dies.
+            if self.session is not None:
+                from .sessions import session_ping
 
-    def submit(self, shard: int, fn, *args):
-        """Submit ``fn(*args)`` onto ``shard``'s executor."""
-        return self._executors[shard].submit(fn, *args)
+                probe = self.submit(session_ping, 0, 0)
+            else:
+                probe = self.submit(worker_ping, 0)
+            await asyncio.wait_for(probe, PROBE_TIMEOUT)
+        except BaseException:
+            self._break("worker processes failed to start")
+            await self._reap(kill=True)
+            self._broken = None
+            self._closing = False
+            raise
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop every shard executor."""
-        for executor in self._executors:
-            executor.shutdown(wait=wait, cancel_futures=not wait)
+    def _fork_workers(self) -> List[socket.socket]:
+        # ValueError where the platform cannot fork
+        context = multiprocessing.get_context("fork")
+        if self.session is not None:
+            from .sessions import _init_session_worker
+
+            initializer, initargs = _init_session_worker, (self.session,)
+        else:
+            initializer, initargs = _init_worker, (
+                self.durability,
+                self.machine_profile,
+                self.hardening,
+            )
+        ends: List[socket.socket] = []
+        try:
+            for index in range(self.workers):
+                ours, theirs = _socketpair()
+                ends.append(ours)
+                process = context.Process(
+                    target=_channel_main,
+                    args=(theirs, initializer, initargs),
+                    name=f"ringworker{index}",
+                    daemon=True,
+                )
+                try:
+                    process.start()
+                finally:
+                    theirs.close()
+                self._processes.append(process)
+        except BaseException:
+            for sock in ends:
+                sock.close()
+            raise
+        return ends
+
+    async def _connect(self, ends: List[socket.socket]) -> None:
+        for index, sock in enumerate(ends):
+            _, channel = await self._loop.connect_accepted_socket(
+                functools.partial(_Channel, self, index), sock
+            )
+            self._channels.append(channel)
+
+    # -- calls -------------------------------------------------------------
+
+    def pids(self) -> List[int]:
+        """The worker processes' pids in worker order (none on the
+        thread backend)."""
+        return [process.pid for process in self._processes]
+
+    def submit(
+        self, fn: Callable, *args: Any, worker: Optional[int] = None
+    ) -> asyncio.Future:
+        """Run ``fn(*args)`` on a worker; returns an asyncio future.
+
+        ``worker=None`` takes the first free worker, or joins one FIFO
+        queue for the next worker to come free.  An index sends the
+        call to that worker, behind any calls already sent to it (the
+        session layout's shard affinity).  ``fn`` crosses the channel
+        pickled by reference, so it must be a module-level function.
+        Raises :class:`~concurrent.futures.BrokenExecutor` once a
+        worker has died and ``RuntimeError`` once shutdown has begun.
+        """
+        if self._broken is not None:
+            raise BrokenExecutor(self._broken)
+        if self._closing or not self._channels:
+            raise RuntimeError("worker pool is not running")
+        future = self._loop.create_future()
+        if worker is None:
+            channel = next(
+                (ch for ch in self._channels if not ch.pending), None
+            )
+            if channel is None:
+                self._queue.append((future, fn, args))
+                return future
+        else:
+            channel = self._channels[worker]
+        channel.send(future, fn, args)
+        return future
+
+    def _channel_idle(self, channel: _Channel) -> None:
+        while self._queue and not channel.pending:
+            future, fn, args = self._queue.popleft()
+            if not future.done():  # skip calls cancelled while queued
+                channel.send(future, fn, args)
+
+    def _channel_lost(self, channel: _Channel) -> None:
+        if self._closing and not channel.pending:
+            return  # a drained worker exiting
+        self._break(f"worker {channel.index} exited unexpectedly")
+
+    def _break(self, reason: str) -> None:
+        """Fail every queued and in-flight call; refuse new ones."""
+        if self._broken is not None:
+            return
+        self._broken = reason
+        doomed = [future for future, _, _ in self._queue]
+        self._queue.clear()
+        for channel in self._channels:
+            doomed.extend(channel.pending)
+            channel.pending.clear()
+            channel.transport.abort()
+        for future in doomed:
+            if not future.done():
+                future.set_exception(BrokenExecutor(reason))
+
+    # -- shutdown ------------------------------------------------------------
+
+    async def shutdown(self, wait: bool = True) -> None:
+        """Stop the pool.
+
+        With ``wait``, a healthy pool first finishes every queued and
+        in-flight call; then each worker reads end of file on its
+        channel and exits on its own, with exit code 0.  A broken pool,
+        or ``wait=False``, kills its worker processes instead, which
+        frees their durability slots for a replacement pool at once.
+        """
+        self._closing = True
+        if wait and self._broken is None:
+            outstanding = [future for future, _, _ in self._queue]
+            for channel in self._channels:
+                outstanding.extend(channel.pending)
+            if outstanding:
+                await asyncio.wait(outstanding)
+            for channel in self._channels:
+                channel.transport.write_eof()
+            closed = [channel.closed for channel in self._channels]
+            if closed:
+                await asyncio.wait(closed, timeout=EXIT_TIMEOUT)
+        else:
+            self._break("worker pool shut down")
+        # a worker may also have died while the pool drained
+        await self._reap(kill=self._broken is not None)
+
+    async def _reap(self, kill: bool) -> None:
+        """Wait for every worker to exit, killing processes first if
+        ``kill`` and stragglers past :data:`EXIT_TIMEOUT`."""
+        deadline = self._loop.time() + EXIT_TIMEOUT
+        for process in self._processes:
+            if kill:
+                process.kill()
+            while process.exitcode is None and self._loop.time() < deadline:
+                await asyncio.sleep(0.005)
+            if process.exitcode is None:
+                process.kill()
+            process.join()
+        for thread in self._threads:
+            thread.join(timeout=max(0.0, deadline - self._loop.time()))
+        self._channels = []
+        self._processes = []
+        self._threads = []
+        release_live_slots()

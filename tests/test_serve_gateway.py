@@ -1,7 +1,7 @@
 """The ring gateway end to end: sessions, calls, backpressure, drain.
 
 Every test spins up a real asyncio gateway on an ephemeral port with the
-thread worker backend (fast startup, no pickling) and talks to it over
+thread worker backend (fast startup) and talks to it over
 an actual TCP connection — the wire format is part of the contract.
 """
 

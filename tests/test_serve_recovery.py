@@ -76,7 +76,7 @@ class TestWorkerDeathUnderLoad:
                 # delay races the load on a busy host)
                 while gateway.counters.completed < 20:
                     await asyncio.sleep(0.02)
-                victim = list(gateway.pool.executor._processes)[0]
+                victim = gateway.pool.pids()[0]
                 os.kill(victim, signal.SIGKILL)
 
             kill_task = asyncio.create_task(assassin())
@@ -118,7 +118,7 @@ class TestWorkerDeathUnderLoad:
                 # delay races the load on a busy host)
                 while gateway.counters.completed < 20:
                     await asyncio.sleep(0.02)
-                victim = list(gateway.pool.executor._processes)[0]
+                victim = gateway.pool.pids()[0]
                 os.kill(victim, signal.SIGKILL)
 
             kill_task = asyncio.create_task(assassin())

@@ -17,9 +17,14 @@ The properties pinned here are the ones the serving design leans on:
   client's retry deduplicates against the replayed result;
 * parked deltas stay small — the delta-vs-base encoding keeps a
   parked call_loop tenant under 10% of its full snapshot;
+* base election is atomic — a shard electing a shape's base while
+  another shard's pointer is being published adopts that base;
 * the restore-equivalence matrix extends to park/hydrate cycles under
   every host-cache/jit knob combination.
 """
+
+import os
+import threading
 
 import pytest
 
@@ -292,6 +297,53 @@ class TestBaseSharing:
             total = total.plus(MetricsSnapshot.from_dict(out["metrics"]))
         assert pool.total == total
         assert pool.calls == 4
+
+
+class TestBaseElection:
+    def test_loser_never_reads_an_unfinished_pointer(
+        self, tmp_path, monkeypatch
+    ):
+        """Two shards elect a shape's base at once.  The winner is held
+        right after its pointer file becomes visible; the loser, electing
+        in that window, must still adopt the winner's base."""
+        root = str(tmp_path / "store")
+        winner, loser = SessionStore(root), SessionStore(root)
+        pointer = winner._pointer_path("shape")
+        visible, resume = threading.Event(), threading.Event()
+        real_open, real_link = os.open, os.link
+
+        def hold_once_visible():
+            if not visible.is_set():
+                visible.set()
+                resume.wait(10)
+
+        def spy_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if path == pointer:
+                hold_once_visible()
+            return fd
+
+        def spy_link(source, target, *args, **kwargs):
+            real_link(source, target, *args, **kwargs)
+            if target == pointer:
+                hold_once_visible()
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "link", spy_link)
+        elected = {}
+
+        def elect_winner():
+            elected["winner"] = winner.base_for_shape("shape", {"by": "w"})
+
+        thread = threading.Thread(target=elect_winner)
+        thread.start()
+        try:
+            assert visible.wait(10)
+            elected["loser"] = loser.base_for_shape("shape", {"by": "l"})
+        finally:
+            resume.set()
+            thread.join(10)
+        assert elected == {"winner": {"by": "w"}, "loser": {"by": "w"}}
 
 
 class TestPrefetch:

@@ -383,7 +383,7 @@ class TestFailoverUnderLoad:
             async def assassin():
                 while gateway.counters.completed < 20:
                     await asyncio.sleep(0.02)
-                victim = list(gateway.pool.executor._processes)[0]
+                victim = gateway.pool.pids()[0]
                 os.kill(victim, signal.SIGKILL)
 
             kill_task = asyncio.create_task(assassin())
