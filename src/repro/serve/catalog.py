@@ -58,10 +58,15 @@ place):
 Every builder validates its arguments and raises
 :class:`~repro.errors.ConfigurationError` on misuse; the gateway maps
 that to a ``bad_request`` response before any worker is involved.
+Both the gateway's check and a worker's install go through
+:func:`resolve`, one bounded memo of built images per process, so a
+repeat call builds nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
@@ -78,6 +83,10 @@ MAX_RING = 5
 MAX_COUNT = 4096
 MAX_ITER = 200000
 MAX_VALUE = 65535
+
+#: bound on :func:`resolve`'s memo: distinct (program, args) variants
+#: kept; the least recently used one is rebuilt on its next call
+RESOLVE_CACHE_SIZE = 1024
 
 #: every caller segment is executable in rings 1..5 by every user
 _CALLER_ACL = (AclEntry("*", RingBracketSpec.procedure(MIN_RING, top=MAX_RING)),)
@@ -532,3 +541,24 @@ def build_program(name: str, args: Dict[str, Any]) -> ProgramImage:
             f"unknown argument(s) {sorted(unknown)} for program {name!r}"
         )
     return builder(args)
+
+
+def resolve(name: str, args: Dict[str, Any]) -> ProgramImage:
+    """:func:`build_program` through one bounded, process-wide memo.
+
+    ``build_program`` is pure in ``(name, args)``, so the gateway's
+    argument check and a worker's install share one image per variant.
+    The memo is keyed on the canonical JSON of ``args``: ``1``, ``1.0``
+    and ``true`` stay distinct keys, so an argument the builder rejects
+    can never hit the image of one it accepted.  Errors are not
+    memoized; they raise exactly as :func:`build_program` does.
+    """
+    return _resolve_canonical(name, json.dumps(args, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=RESOLVE_CACHE_SIZE)
+def _resolve_canonical(name: str, canonical_args: str) -> ProgramImage:
+    return build_program(name, json.loads(canonical_args))
+
+
+resolve.cache_info = _resolve_canonical.cache_info  # type: ignore[attr-defined]

@@ -628,7 +628,7 @@ class RingGateway:
         program = message.get("program")
         args = message.get("args", {})
         try:
-            catalog.build_program(program, args)
+            catalog.resolve(program, args)
         except KeyError:
             self.counters.bad_requests += 1
             return error_response(
@@ -768,12 +768,14 @@ class RingGateway:
                 worker=result.get("worker"),
             )
         latency_ms = round((loop.time() - started) * 1e3, 3)
-        metrics = MetricsSnapshot.from_dict(result["metrics"])
         response = ok_response(
             request_id,
             verb="call",
             result=result["payload"],
-            metrics=metrics.architectural(),
+            # parsed by _call_finished: registered on the future before
+            # asyncio.wait's own callback, it has run by the time this
+            # coroutine resumes
+            metrics=result["metrics"].architectural(),
             worker=result["worker"],
             latency_ms=latency_ms,
         )
@@ -839,6 +841,10 @@ class RingGateway:
         if "error" in result:
             self.counters.machine_faults += 1
             return
+        # parse once per call; the response reuses the snapshot
+        result["metrics"] = delta = MetricsSnapshot.from_dict(
+            result["metrics"]
+        )
         self.counters.completed += 1
         self._latencies_ms.append((loop.time() - started) * 1e3)
         worker = result["worker"]
@@ -860,9 +866,10 @@ class RingGateway:
             # delta again would double-count it
             self.counters.deduplicated_calls += 1
         else:
-            delta = MetricsSnapshot.from_dict(result["metrics"])
-            current = self._per_worker.get(worker, MetricsSnapshot.zero())
-            self._per_worker[worker] = current.plus(delta)
+            current = self._per_worker.get(worker)
+            self._per_worker[worker] = (
+                delta if current is None else current.plus(delta)
+            )
             self._per_worker_calls[worker] = (
                 self._per_worker_calls.get(worker, 0) + 1
             )

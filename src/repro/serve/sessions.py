@@ -69,7 +69,7 @@ from ..state.snapshot import (
     snapshot_machine,
     write_snapshot_file,
 )
-from .workers import GateCallEngine, metrics_architectural
+from .workers import GateCallEngine
 
 #: per-tenant duplicate-suppression cache, persisted across parks — a
 #: retried call id that raced a park is answered from here instead of
@@ -708,7 +708,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     out["pid"] = os.getpid()
     out["generation"] = int(job.get("epoch", 0))
     out["worker_calls"] = pool.calls
-    out["worker_total"] = metrics_architectural(pool.total)
+    out["worker_total"] = pool.total.architectural()
     return out
 
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import json
 import multiprocessing
 import os
 import pickle
@@ -86,7 +85,7 @@ from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
 from ..state.recover import JOURNAL_NAME, SNAPSHOT_NAME, recover_slot
 from ..state.snapshot import snapshot_machine, write_snapshot_file
-from .catalog import build_program
+from .catalog import resolve
 from .protocol import ErrorCode
 
 if TYPE_CHECKING:
@@ -201,7 +200,6 @@ class GateCallEngine:
         self.installed: Dict[str, str] = {}  # variant key -> entry ref
         self.stored_paths: set = set()
         self.initiated: set = set()  # (username, variant key)
-        self._images: Dict[str, Any] = {}  # build_program memo
         self.calls = 0
         self.total = MetricsSnapshot.zero()
 
@@ -223,14 +221,13 @@ class GateCallEngine:
         target ring reuses one gate segment) and a process may initiate
         each name only once.
 
-        ``build_program`` is pure in ``(program, args)``, so repeat
-        calls reuse the memoized image — part of the fast-gate path:
-        a repeat (user, gate) call does no assembly work at all.
+        The image comes from :func:`~repro.serve.catalog.resolve`, the
+        process-wide memo the gateway's argument check also uses, so a
+        repeat call looks its variant up without building it — part of
+        the fast-gate path: a repeat (user, gate) call does no assembly
+        work at all.
         """
-        memo_key = program + "\0" + json.dumps(args, sort_keys=True)
-        image = self._images.get(memo_key)
-        if image is None:
-            image = self._images[memo_key] = build_program(program, args)
+        image = resolve(program, args)
         process = self.process_for(user)
         if image.key not in self.installed:
             for path, source, acl in image.segments:
@@ -611,7 +608,7 @@ class _WorkerState:
         if self.slot is not None:
             out["slot"] = self.slot
         out["worker_calls"] = self.engine.calls
-        out["worker_total"] = metrics_architectural(self.engine.total)
+        out["worker_total"] = self.engine.total.architectural()
         return out
 
 
@@ -645,11 +642,6 @@ def execute_gate_call(job: Dict[str, Any]) -> Dict[str, Any]:
     re-executing (``deduplicated: true``).
     """
     return _state().execute(job)
-
-
-def metrics_architectural(snapshot: MetricsSnapshot) -> Dict[str, int]:
-    """The architectural counters of ``snapshot`` as a plain dict."""
-    return snapshot.architectural()
 
 
 

@@ -76,6 +76,8 @@ class RunResult:
     consecutive ``run(..., reset_counters=False)`` calls still report
     meaningful per-run figures — including cache hit rates — while the
     plain counters (``instructions``, ``cycles``, ...) keep accumulating.
+    With ``reset_counters=True`` (the default) the two are the same
+    snapshot.
     """
 
     halted: bool
@@ -319,9 +321,15 @@ class Machine:
             # Fault-side diagnostics are part of the per-run figure too:
             # a fresh run should not inherit another run's post-mortems.
             self.supervisor.aborted_faults.clear()
-        before = MetricsSnapshot.collect(self.processor)
-        self.processor.run(max_steps=max_steps)
-        after = MetricsSnapshot.collect(self.processor)
+            # every counter starts at zero, so the cumulative snapshot
+            # is the per-run delta: one collect, no subtraction
+            self.processor.run(max_steps=max_steps)
+            after = run_metrics = MetricsSnapshot.collect(self.processor)
+        else:
+            before = MetricsSnapshot.collect(self.processor)
+            self.processor.run(max_steps=max_steps)
+            after = MetricsSnapshot.collect(self.processor)
+            run_metrics = after.minus(before)
         regs = self.processor.registers
         stats = self.processor.stats
         return RunResult(
@@ -335,5 +343,5 @@ class Machine:
             faults=stats.faults,
             ring_crossings=stats.ring_crossings,
             metrics=after,
-            run_metrics=after.minus(before),
+            run_metrics=run_metrics,
         )

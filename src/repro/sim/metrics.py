@@ -11,11 +11,22 @@ two cumulative snapshots into a per-phase delta (what
 ``Machine.run(reset_counters=False)`` uses so consecutive runs still
 compose), and :meth:`plus` / :meth:`sum_of` merge the per-shard
 snapshots of a :mod:`repro.sim.fleet` run into fleet totals.
+
+Every served gate call is accounted several times over (collected on
+the worker, added to its totals, shipped as a dict, parsed and summed
+in the gateway), so each operation costs about what its counters cost:
+:meth:`collect` reads the counter attributes directly, the arithmetic
+and :meth:`from_dict` construct positionally, and :meth:`as_dict`
+copies the values without ``dataclasses.asdict``'s recursive deepcopy.
+Field order is part of the contract — positional construction relies
+on it, and snapshot bytes and base-image digests depend on the key
+order of :meth:`as_dict`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from operator import add, attrgetter, sub
 from typing import Dict, Iterable, Optional
 
 from ..cpu.processor import Processor
@@ -71,42 +82,48 @@ class MetricsSnapshot:
 
     @classmethod
     def collect(cls, proc: Processor) -> "MetricsSnapshot":
-        """Freeze the current counters of ``proc`` and its memory."""
-        cache = proc.sdw_cache.stats()
-        ptlb = proc.access_cache.stats()
-        icache = proc.inst_cache.stats()
-        blocks = proc.block_cache.stats()
-        traces = proc.jit_cache.stats()
+        """Freeze the current counters of ``proc`` and its memory.
+
+        Reads the counter attributes directly (each cache's ``stats()``
+        reports the same values as a dict built per call).
+        """
+        stats = proc.stats
+        memory = proc.memory
+        sdw = proc.sdw_cache
+        ptlb = proc.access_cache
+        icache = proc.inst_cache
+        blocks = proc.block_cache
+        traces = proc.jit_cache
         return cls(
-            cycles=proc.cycles,
-            instructions=proc.stats.instructions,
-            faults=proc.stats.faults,
-            traps_delivered=proc.stats.traps_delivered,
-            calls=proc.stats.calls,
-            returns=proc.stats.returns,
-            ring_crossings=proc.stats.ring_crossings,
-            memory_reads=proc.memory.reads,
-            memory_writes=proc.memory.writes,
-            sdw_hits=cache["hits"],
-            sdw_misses=cache["misses"],
-            ptlb_hits=ptlb["hits"],
-            ptlb_misses=ptlb["misses"],
-            icache_hits=icache["hits"],
-            icache_misses=icache["misses"],
-            block_hits=blocks["hits"],
-            block_misses=blocks["misses"],
-            block_invalidations=blocks["invalidations"],
-            block_instructions=blocks["block_instructions"],
-            jit_hits=traces["hits"],
-            jit_misses=traces["misses"],
-            jit_invalidations=traces["invalidations"],
-            jit_instructions=traces["jit_instructions"],
+            proc.cycles,
+            stats.instructions,
+            stats.faults,
+            stats.traps_delivered,
+            stats.calls,
+            stats.returns,
+            stats.ring_crossings,
+            memory.reads,
+            memory.writes,
+            sdw.hits,
+            sdw.misses,
+            ptlb.hits,
+            ptlb.misses,
+            icache.hits,
+            icache.misses,
+            blocks.hits,
+            blocks.misses,
+            blocks.invalidations,
+            blocks.block_instructions,
+            traces.hits,
+            traces.misses,
+            traces.invalidations,
+            traces.instructions,
         )
 
     @classmethod
     def zero(cls) -> "MetricsSnapshot":
         """The additive identity (an all-zero snapshot)."""
-        return cls(**{name: 0 for name in cls.__dataclass_fields__})
+        return cls(*_ZEROS)
 
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "MetricsSnapshot":
@@ -115,39 +132,28 @@ class MetricsSnapshot:
         Unknown keys are rejected (they signal a version skew between
         whoever serialized the dict and this build); missing host-tier
         counters default to 0 so architectural-only dicts — what workers
-        report as their totals — round-trip too.
+        report as their totals — round-trip too.  Values are coerced
+        with ``int``.
         """
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = data.keys() - _FIELD_SET
         if unknown:
             raise ValueError(
                 f"unknown metric counter(s): {sorted(unknown)}"
             )
-        return cls(
-            **{
-                name: int(data.get(name, 0))
-                for name in cls.__dataclass_fields__
-            }
-        )
+        get = data.get
+        return cls(*[int(get(name, 0)) for name in _FIELDS])
 
     def delta(self, earlier: "MetricsSnapshot") -> Dict[str, int]:
         """Per-counter difference ``self - earlier`` as a dict."""
-        return {
-            name: getattr(self, name) - getattr(earlier, name)
-            for name in self.__dataclass_fields__
-        }
+        return dict(zip(_FIELDS, map(sub, _values(self), _values(earlier))))
 
     def minus(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """``self - earlier`` as a snapshot (per-phase attribution)."""
-        return MetricsSnapshot(**self.delta(earlier))
+        return MetricsSnapshot(*map(sub, _values(self), _values(earlier)))
 
     def plus(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """``self + other`` as a snapshot (shard merging)."""
-        return MetricsSnapshot(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self.__dataclass_fields__
-            }
-        )
+        return MetricsSnapshot(*map(add, _values(self), _values(other)))
 
     @classmethod
     def sum_of(
@@ -181,8 +187,20 @@ class MetricsSnapshot:
 
     def architectural(self) -> Dict[str, int]:
         """Only the simulated-machine counters (tier-independent)."""
-        return {name: getattr(self, name) for name in self.ARCHITECTURAL}
+        return dict(zip(self.ARCHITECTURAL, _architectural_values(self)))
 
     def as_dict(self) -> Dict[str, int]:
-        """Every counter as a plain dict (CLI ``--metrics-json``)."""
-        return asdict(self)
+        """Every counter as a plain dict, in field order (CLI
+        ``--metrics-json``; snapshot bytes and base-image digests
+        depend on the order)."""
+        return dict(zip(_FIELDS, _values(self)))
+
+
+#: counter names in dataclass field order — the positional order every
+#: constructor call above uses
+_FIELDS = tuple(MetricsSnapshot.__dataclass_fields__)
+_FIELD_SET = frozenset(_FIELDS)
+_ZEROS = (0,) * len(_FIELDS)
+#: every counter value as a tuple, in field order
+_values = attrgetter(*_FIELDS)
+_architectural_values = attrgetter(*MetricsSnapshot.ARCHITECTURAL)

@@ -8,11 +8,16 @@ an actual TCP connection — the wire format is part of the contract.
 import asyncio
 import json
 
+import pytest
+
+from repro.adversary.corpus import ATTACK_FAMILIES
+from repro.errors import ConfigurationError
+from repro.serve import catalog
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway, _percentile
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import ErrorCode
-from repro.serve.workers import execute_gate_call
+from repro.serve.workers import GateCallEngine, execute_gate_call
 
 #: a compute burst long enough (hundreds of ms even with the superblock
 #: tier on) to still be in flight when a competing request arrives
@@ -194,6 +199,34 @@ class TestCalls:
             # neither touched a worker or took a slot
             assert gateway.counters.accepted == 0
             assert gateway.admission.total_pending == 0
+            await client.close()
+
+        run(with_gateway(gateway_config(), body))
+
+    def test_lookalike_args_never_reuse_a_warm_variant(self):
+        """The argument memo keys on canonical JSON: after a valid
+        ``{"count": 4}``, ``true``, ``4.0`` and ``"4"`` are still bad
+        requests answered before any worker is involved."""
+
+        async def body(gateway):
+            client = await Client(gateway.port).connect()
+            await client.hello()
+            warm = await client.request(
+                verb="call", id=1, program="call_loop", args={"count": 4}
+            )
+            assert warm["ok"], warm
+            accepted = gateway.counters.accepted
+            bad_requests = gateway.counters.bad_requests
+            for request_id, value in enumerate((True, 4.0, "4"), start=2):
+                response = await client.request(
+                    verb="call",
+                    id=request_id,
+                    program="call_loop",
+                    args={"count": value},
+                )
+                assert response["error"] == ErrorCode.BAD_REQUEST, response
+            assert gateway.counters.bad_requests == bad_requests + 3
+            assert gateway.counters.accepted == accepted
             await client.close()
 
         run(with_gateway(gateway_config(), body))
@@ -444,6 +477,45 @@ class TestWorkerFunction:
             {"user": "carol", "ring": 4, "program": "nope", "args": {}}
         )
         assert result["error"] == ErrorCode.UNKNOWN_PROGRAM
+
+
+class TestResolveMemo:
+    """catalog.resolve: one bounded memo for the gateway and workers."""
+
+    def test_engine_rejects_lookalike_args_after_a_warm_call(self):
+        engine = GateCallEngine()
+        entry = engine.entry_for("call_loop", {"count": 4}, "alice")
+        assert entry == engine.entry_for("call_loop", {"count": 4}, "alice")
+        for value in (True, 4.0, "4"):
+            with pytest.raises(ConfigurationError):
+                engine.entry_for("call_loop", {"count": value}, "alice")
+            result = engine.run_job(
+                {
+                    "user": "alice",
+                    "ring": 4,
+                    "program": "call_loop",
+                    "args": {"count": value},
+                }
+            )
+            assert result["error"] == ErrorCode.BAD_REQUEST
+
+    def test_memo_stays_within_its_bound(self):
+        family = sorted(ATTACK_FAMILIES)[0]
+        for seed in range(catalog.RESOLVE_CACHE_SIZE + 16):
+            catalog.resolve(
+                "attack", {"family": family, "seed": seed, "ring": 4}
+            )
+        info = catalog.resolve.cache_info()
+        assert info.maxsize == catalog.RESOLVE_CACHE_SIZE
+        assert info.currsize <= catalog.RESOLVE_CACHE_SIZE
+
+    def test_resolve_is_build_program(self):
+        args = {"count": 3, "target_ring": 1}
+        assert catalog.resolve("call_loop", args) == catalog.build_program(
+            "call_loop", args
+        )
+        with pytest.raises(KeyError):
+            catalog.resolve("mystery", {})
 
 
 class TestPercentile:
