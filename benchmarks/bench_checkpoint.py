@@ -16,6 +16,13 @@ Two claims to pin:
   checkpoint is a separate, tunable cost: its per-checkpoint latency
   and its amortised overhead at the production cadence are recorded
   alongside, ungated (they scale with the interval, not the calls).
+* **Checkpoint size is independent of history** (D4, gated on every
+  host): a worker's checkpoint holds the machine image and its
+  bookkeeping, not the served calls — the duplicate-suppression cache
+  is rebuilt from the journal on recovery — so the file written after
+  1,024 served calls is within 1% of the one written after 64.  Bytes
+  are host-independent, so the gate holds under ``REPRO_BENCH_STRICT=0``
+  too; the checkpoint latency at both points is recorded alongside.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from conftest import build_call_loop_machine
 
 import repro.serve.workers as workers
 from repro.serve.workers import DurabilityConfig, GateCallEngine, _WorkerState
-from repro.state.recover import JOURNAL_NAME, replay_journal
+from repro.state.recover import JOURNAL_NAME, SNAPSHOT_NAME, replay_journal
 from repro.state.snapshot import (
     read_snapshot_file,
     restore_machine,
@@ -49,6 +56,11 @@ COUNT = 64
 
 #: acceptance ceiling for write-ahead-journal overhead on the call loop
 OVERHEAD_CEILING = 0.15
+
+#: D4: served calls at the two checkpoints compared, and the ceiling on
+#: the ratio of their file sizes
+SIZE_POINTS = (64, 1024)
+SIZE_RATIO_CEILING = 1.01
 
 
 def _best_of(repeats, fn):
@@ -231,3 +243,42 @@ def test_d3_snapshot_compression_tradeoff(benchmark, tmp_path):
     benchmark.extra_info["read_packed_ms"] = round(read_packed_s * 1e3, 3)
 
     benchmark(lambda: write_snapshot_file(snap, packed_path, compress=True))
+
+
+def test_d4_checkpoint_size_is_constant(benchmark, tmp_path):
+    """Checkpoint bytes after 1,024 served calls <= 1.01x those after 64."""
+    workers.configure_durability(
+        DurabilityConfig(
+            dir=str(tmp_path), slots=1, checkpoint_interval=64, fsync_every=32
+        )
+    )
+    try:
+        state = _WorkerState()
+        path = os.path.join(state.slot_dir, SNAPSHOT_NAME)
+        sizes = {}
+        latencies = {}
+        for i in range(1, SIZE_POINTS[-1] + 1):
+            state.execute(_job(i))
+            if i in SIZE_POINTS:
+                # the i-th call just checkpointed; time the same work
+                latencies[i], _ = _best_of(3, state._checkpoint)
+                sizes[i] = os.path.getsize(path)
+        assert "recent_calls" not in read_snapshot_file(path)["extra"]
+    finally:
+        workers.configure_durability(None)
+        workers.release_live_slots()
+
+    first, last = SIZE_POINTS
+    ratio = sizes[last] / sizes[first]
+    for calls in SIZE_POINTS:
+        benchmark.extra_info[f"checkpoint_bytes_{calls}"] = sizes[calls]
+        benchmark.extra_info[f"checkpoint_ms_{calls}"] = round(
+            latencies[calls] * 1e3, 3
+        )
+    benchmark.extra_info["size_ratio"] = round(ratio, 4)
+    assert ratio <= SIZE_RATIO_CEILING, (
+        f"checkpoint grew {ratio:.3f}x from {first} to {last} served calls "
+        f"({sizes[first]} -> {sizes[last]} bytes)"
+    )
+
+    benchmark(lambda: snapshot_machine(state.engine.machine))

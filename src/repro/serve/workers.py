@@ -552,9 +552,6 @@ class _WorkerState:
             "engine": self.engine.bookkeeping(),
             "last_seq": self.journal.last_seq,
             "generation": self.generation,
-            "recent_calls": [
-                [call_id, result] for call_id, result in self.recent.items()
-            ],
         }
         snap = snapshot_machine(self.engine.machine, extra=extra)
         current = os.path.join(self.slot_dir, SNAPSHOT_NAME)

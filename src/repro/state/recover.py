@@ -85,8 +85,9 @@ def replay_journal(
     Without ``engine`` a fresh :class:`GateCallEngine` is built, which
     with ``start_seq=0`` replays the slot's entire history.  ``strict``
     refuses a torn journal tail instead of dropping it.  ``recent``, if
-    given, collects each record's ``call_id`` → journaled result (the
-    duplicate-suppression cache a resuming worker needs).
+    given, collects every record's ``call_id`` → journaled result in
+    journal order — skipped records too — which is the
+    duplicate-suppression cache a resuming worker needs.
     """
     from ..serve.workers import GateCallEngine
 
@@ -95,6 +96,14 @@ def replay_journal(
     report = ReplayReport(engine=engine, last_seq=start_seq)
     for record in read_journal(journal_path, strict=strict):
         seq = record["seq"]
+        call_id = record.get("call_id")
+        if recent is not None and call_id is not None:
+            # the journaled result is authoritative: it is what the
+            # caller was (or would have been) told; a call_id journaled
+            # again (it had aged out of the cache) moves to the end,
+            # as it does in the live cache
+            recent.pop(call_id, None)
+            recent[call_id] = record["result"]
         if seq <= start_seq:
             report.skipped += 1
             continue
@@ -102,10 +111,6 @@ def replay_journal(
         if verify:
             _check_result(seq, record["result"], result)
             report.verified += 1
-        if recent is not None and record.get("call_id") is not None:
-            # the journaled result is authoritative: it is what the
-            # caller was (or would have been) told
-            recent[record["call_id"]] = record["result"]
         report.replayed += 1
         report.last_seq = seq
     return report
@@ -119,6 +124,12 @@ def recover_slot(slot_dir: str, verify: bool = False) -> RecoveryResult:
     mid-checkpoint at worst lengthens the replay); with neither intact,
     replays the whole journal from a fresh machine.  A missing journal
     is an empty one — a brand-new slot recovers to a fresh engine.
+
+    The duplicate-suppression cache (``recent``) is rebuilt from the
+    journal alone, records at or below the snapshot's position
+    included; snapshots do not carry it.  The journal is append-only
+    and synced before every checkpoint, so it holds every call a
+    snapshot has folded in.
     """
     from ..serve.workers import GateCallEngine
 
@@ -141,10 +152,7 @@ def recover_slot(slot_dir: str, verify: bool = False) -> RecoveryResult:
     if engine is None:
         engine = GateCallEngine()
     snapshot_seq = int(extra.get("last_seq", 0))
-    recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict(
-        (call_id, result)
-        for call_id, result in extra.get("recent_calls", [])
-    )
+    recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
     report = replay_journal(
         os.path.join(slot_dir, JOURNAL_NAME),
         engine=engine,

@@ -37,9 +37,11 @@ bounded by shipping lag, not by the primary's checkpoint interval —
 then folds itself into a fresh promotion snapshot inside the slot
 directory.  The next worker to claim the slot recovers from that
 snapshot with an empty tail, and the generation bump on its claim
-fences the dead incarnation.  The replica's duplicate-suppression
-cache (``call_id`` -> journaled result) rides along, so calls that
-were in flight at the crash dedup instead of double-executing.
+fences the dead incarnation.  The snapshot does not carry the
+duplicate-suppression cache (``call_id`` -> journaled result): the
+successor rebuilds it from the same slot journal the replica applied,
+so calls that were in flight at the crash dedup instead of
+double-executing.
 """
 
 from __future__ import annotations
@@ -58,9 +60,8 @@ from .journal import MAGIC, _FRAME, read_journal
 from .recover import JOURNAL_NAME, SNAPSHOT_NAME
 from .snapshot import snapshot_machine, write_snapshot_file
 
-#: bound on a replica's duplicate-suppression cache — mirrors the
-#: serving workers' RECENT_CALLS so a promoted replica dedups at least
-#: as much history as the worker it replaces would have
+#: bound on a replica's duplicate-suppression cache (what :meth:`lookup`
+#: answers the gateway from) — mirrors the serving workers' RECENT_CALLS
 REPLICA_RECENT_CALLS = 512
 
 #: result fields a replica compares verbatim on every applied record
@@ -283,7 +284,7 @@ class ReplicaApplier:
         self.skipped = 0
         self.promotions = 0
         self.last_applied_at: Optional[float] = None
-        #: call_id -> journaled result (duplicate suppression on promote)
+        #: call_id -> journaled result (what :meth:`lookup` answers)
         self.recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     def apply(self, frame: Frame) -> bool:
@@ -342,10 +343,12 @@ class ReplicaApplier:
         Replays the unacked journal tail (everything journaled past
         ``applied_seq`` — bounded by shipping lag, not the primary's
         checkpoint interval), then writes a fresh snapshot into the
-        slot directory with the replica's bookkeeping, journal
-        position, and duplicate-suppression cache.  The next worker to
-        claim the slot recovers from it with an empty tail; its
-        generation bump fences the dead incarnation.  An empty tail —
+        slot directory with the replica's bookkeeping and journal
+        position.  The next worker to claim the slot recovers from it
+        with an empty tail and rebuilds its duplicate-suppression
+        cache from the slot journal
+        (:func:`~repro.state.recover.recover_slot`); its generation
+        bump fences the dead incarnation.  An empty tail —
         the replica was fully caught up, or the slot never executed a
         call — still writes the snapshot, so promotion is uniform.
         """
@@ -359,9 +362,6 @@ class ReplicaApplier:
             "engine": self.engine.bookkeeping(),
             "last_seq": self.applied_seq,
             "promoted": True,
-            "recent_calls": [
-                [call_id, result] for call_id, result in self.recent.items()
-            ],
         }
         snap = snapshot_machine(self.engine.machine, extra=extra)
         current = os.path.join(slot_dir, SNAPSHOT_NAME)

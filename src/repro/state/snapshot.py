@@ -82,6 +82,7 @@ DEFAULT_COMPRESS_LEVEL = 1
 
 #: sparse-memory granularity: chunks with any non-zero word are stored
 MEMORY_CHUNK = 256
+_ZERO_CHUNK = [0] * MEMORY_CHUNK
 
 _SPEC_FIELDS = ("r1", "r2", "r3", "read", "write", "execute", "gate")
 _FAULT_FIELDS = (
@@ -212,11 +213,17 @@ def snapshot_machine(
     sup = machine.supervisor
     memory = machine.memory
 
+    # Comparing a slice with a zero chunk runs at C speed, where any()
+    # walks it word by word; the slice is a fresh list, so it is stored
+    # as is.  Only a short last chunk, which never equals the zero
+    # chunk, still needs any().
     chunks: Dict[str, List[int]] = {}
     for start in range(0, memory.size, MEMORY_CHUNK):
         block = memory._words[start : start + MEMORY_CHUNK]
-        if any(block):
-            chunks[str(start)] = list(block)
+        if block != _ZERO_CHUNK and (
+            len(block) == MEMORY_CHUNK or any(block)
+        ):
+            chunks[str(start)] = block
 
     processes: List[Dict[str, Any]] = []
     for process in sup.processes:

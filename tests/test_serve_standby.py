@@ -245,8 +245,9 @@ class TestPromotionExactness:
             assert successor.generation == primary.generation + 1
             assert successor.engine.calls == 30
 
-            # a call in flight at the crash is retried: the promotion
-            # snapshot's dedup cache answers it, no double execution
+            # a call in flight at the crash is retried: the dedup cache
+            # the successor rebuilt from the slot journal answers it,
+            # no double execution
             retry = successor.execute(jobs[28])
             assert retry["deduplicated"] is True
             assert successor.engine.calls == 30

@@ -8,9 +8,15 @@ import pytest
 
 import repro.serve.workers as workers
 from repro.errors import JournalError, ReplayDivergenceError
-from repro.serve.workers import DurabilityConfig, _WorkerState
+from repro.serve.workers import RECENT_CALLS, DurabilityConfig, _WorkerState
 from repro.state.journal import MAGIC, _FRAME, read_journal
-from repro.state.recover import JOURNAL_NAME, recover_slot, replay_journal
+from repro.state.recover import (
+    JOURNAL_NAME,
+    SNAPSHOT_NAME,
+    recover_slot,
+    replay_journal,
+)
+from repro.state.snapshot import read_snapshot_file, write_snapshot_file
 
 
 @pytest.fixture
@@ -129,6 +135,110 @@ class TestSlotRecovery:
         journal = tmp_path / "slots" / "slot-0" / JOURNAL_NAME
         recorded = [r["result"] for r in read_journal(str(journal))]
         assert "error" in recorded[1]
+
+
+class TestDedupFromJournal:
+    """The dedup cache is rebuilt from the journal; snapshots omit it."""
+
+    def test_call_before_last_checkpoint_is_deduplicated(
+        self, durable_worker, tmp_path
+    ):
+        state = durable_worker(checkpoint_interval=4)
+        first = state.execute(job(0, call_id="early"))
+        for i in range(1, 10):  # checkpoints at 4 and 8, tail of 2
+            state.execute(job(i))
+        crash(state)
+
+        successor = durable_worker()
+        assert successor.engine.calls == 10
+        again = successor.execute(job(0, call_id="early"))
+        assert again["deduplicated"] is True
+        assert again["payload"] == first["payload"]
+        assert successor.engine.calls == 10  # not re-executed
+
+    def test_call_that_triggers_a_checkpoint_is_deduplicated(
+        self, durable_worker, tmp_path
+    ):
+        # the checkpoint runs before the call enters the live cache, so
+        # a snapshot of that cache would miss it; the journal has it
+        state = durable_worker(checkpoint_interval=4)
+        for i in range(4):
+            state.execute(job(i))
+        crash(state)
+
+        successor = durable_worker()
+        assert successor.execute(job(3))["deduplicated"] is True
+        assert successor.engine.calls == 4
+
+    def test_dedup_survives_fresh_machine_replay(self, durable_worker, tmp_path):
+        state = durable_worker(checkpoint_interval=4)
+        state.execute(job(0, call_id="early"))
+        for i in range(1, 10):
+            state.execute(job(i))
+        crash(state)
+        slot_dir = tmp_path / "slots" / "slot-0"
+        (slot_dir / SNAPSHOT_NAME).write_text("garbage")
+        (slot_dir / (SNAPSHOT_NAME + ".prev")).write_text("garbage")
+
+        successor = durable_worker()
+        # host diagnostics differ: the live worker went cold at each
+        # checkpoint, the fresh-machine replay did not
+        assert successor.engine.total.architectural() == (
+            state.engine.total.architectural()
+        )
+        again = successor.execute(job(0, call_id="early"))
+        assert again["deduplicated"] is True
+        assert successor.engine.calls == 10
+
+    def test_recovered_cache_is_the_journal_tail_in_order(
+        self, durable_worker, tmp_path
+    ):
+        state = durable_worker(checkpoint_interval=64, fsync_every=64)
+        for i in range(RECENT_CALLS + 100):
+            state.execute(job(i))
+        # call-0 aged out of the cache: it runs again, is journaled
+        # again, and moves to the newest end
+        assert "deduplicated" not in state.execute(job(0))
+        crash(state)
+
+        successor = durable_worker()
+        expected = [f"call-{i}" for i in range(101, RECENT_CALLS + 100)]
+        expected.append("call-0")
+        assert list(successor.recent) == expected
+        assert list(successor.recent) == list(state.recent)
+
+    def test_snapshot_cache_field_is_ignored(self, durable_worker, tmp_path):
+        state = durable_worker(checkpoint_interval=4)
+        for i in range(4):
+            state.execute(job(i))
+        crash(state)
+        # a snapshot written before the cache left the checkpoint
+        # still carries it; the journal is the only source now
+        path = str(tmp_path / "slots" / "slot-0" / SNAPSHOT_NAME)
+        snap = read_snapshot_file(path)
+        snap["extra"]["recent_calls"] = [["ghost", {"payload": {}}]]
+        write_snapshot_file(snap, path)
+
+        recovery = recover_slot(str(tmp_path / "slots" / "slot-0"))
+        assert recovery.snapshot_source == "current"
+        assert list(recovery.recent) == [f"call-{i}" for i in range(4)]
+
+
+class TestCheckpointSize:
+    def test_checkpoint_size_is_independent_of_history(
+        self, durable_worker, tmp_path
+    ):
+        state = durable_worker(checkpoint_interval=64, fsync_every=64)
+        path = tmp_path / "slots" / "slot-0" / SNAPSHOT_NAME
+        sizes = {}
+        for i in range(1, 1025):
+            state.execute(job(i, call_id=f"size-{i}"))
+            if i in (64, 1024):
+                sizes[i] = path.stat().st_size
+        extra = read_snapshot_file(str(path))["extra"]
+        assert "recent_calls" not in extra
+        assert extra["last_seq"] == 1024
+        assert abs(sizes[1024] - sizes[64]) <= 0.01 * sizes[64], sizes
 
 
 class TestVerifiedReplay:

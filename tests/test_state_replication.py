@@ -230,7 +230,7 @@ class TestPromotion:
         assert recovery.replayed == 0
         assert recovery.engine.calls == 6
         assert recovery.engine.total.architectural() == primary_arch
-        # the replica's dedup cache rode along into the snapshot
+        # the successor rebuilt its dedup cache from the slot journal
         assert "call-alice-5" in recovery.recent
 
     def test_empty_tail_promotion_replays_nothing(self, durable_state):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.acl import AclEntry, RingBracketSpec
 from repro.errors import SnapshotError
@@ -10,12 +11,14 @@ from repro.mem.physical import PhysicalMemory
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
 from repro.state.snapshot import (
+    MEMORY_CHUNK,
     read_snapshot_file,
     restore_machine,
     snapshot_digest,
     snapshot_machine,
     write_snapshot_file,
 )
+from repro.words import WORD_MASK
 
 USER_ACL = [AclEntry("*", RingBracketSpec.procedure(4))]
 
@@ -69,12 +72,6 @@ class TestPeekBlock:
         memory.read_block(0, 4)
         assert memory.reads == reads_before + 4
 
-    def test_snapshot_alias_is_deprecated(self):
-        memory = PhysicalMemory(64)
-        memory.write(1, 5)
-        with pytest.deprecated_call():
-            assert memory.snapshot(0, 2) == [0, 5]
-
 
 class TestSnapshotRoundTrip:
     def test_restore_reproduces_registers_and_counters(self, machine):
@@ -109,6 +106,56 @@ class TestSnapshotRoundTrip:
             len(chunk) for chunk in snap["memory"]["chunks"].values()
         )
         assert 0 < words < machine.memory.size
+
+
+@st.composite
+def sparse_memories(draw):
+    """A memory size (often not a multiple of MEMORY_CHUNK) and a sparse
+    set of word writes, zeros included."""
+    size = draw(
+        st.one_of(
+            st.integers(1, 12 * MEMORY_CHUNK),
+            st.sampled_from([8 * MEMORY_CHUNK, 8 * MEMORY_CHUNK + 1]),
+        )
+    )
+    writes = draw(
+        st.dictionaries(
+            st.integers(0, size - 1),
+            st.one_of(st.just(0), st.integers(1, WORD_MASK)),
+            max_size=24,
+        )
+    )
+    return size, writes
+
+
+def reference_chunks(words):
+    """The chunk map as the any()-based scan built it."""
+    chunks = {}
+    for start in range(0, len(words), MEMORY_CHUNK):
+        block = words[start : start + MEMORY_CHUNK]
+        if any(block):
+            chunks[str(start)] = list(block)
+    return chunks
+
+
+class TestMemoryScan:
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_memories())
+    @example((2 * MEMORY_CHUNK + 7, {0: 1}))  # short all-zero last chunk
+    def test_chunk_map_matches_any_reference(self, memory_case):
+        size, writes = memory_case
+        machine = Machine(memory_words=size)
+        for addr, value in writes.items():
+            machine.memory._words[addr] = value
+        snap = snapshot_machine(machine)
+        assert snap["memory"]["chunks"] == reference_chunks(
+            machine.memory._words
+        )
+        restored = restore_machine(snap)
+        assert restored.memory._words == machine.memory._words
+        assert snapshot_digest(snapshot_machine(restored)) == (
+            snapshot_digest(snap)
+        )
 
 
 class TestSnapshotFiles:
