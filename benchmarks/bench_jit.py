@@ -27,6 +27,11 @@ Two kinds of figure come out:
   wall-clock assertion in this directory): the trace tier should make
   the repeat run dramatically cheaper to *simulate* too, since the 645
   baseline burns host time interpreting its software assist.
+
+Experiment J3 holds the paper's central claim in host time: a warm
+gate call whose gate sits in ring 0 (two crossings per call/return
+pair) must cost the host about what the same call with the gate in the
+caller's ring does.  The ratio is gated in ``baseline_jit.json``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import os
 import time
 
 from conftest import build_call_loop_machine
+from repro.serve.workers import GateCallEngine
 
 #: call/return pairs per run (matches bench_host_throughput's COUNT)
 COUNT = 300
@@ -181,3 +187,67 @@ def test_j1_traces_survive_fast_gate_repeats(benchmark):
     )
     result = benchmark(lambda: machine.run(process, "caller$main", ring=4))
     assert result.halted
+
+
+#: call/return pairs per J3 call (the e2e ``crossing_loop`` payload)
+CROSSING_COUNT = 4096
+
+#: J3 timing repetitions per variant, interleaved, best kept
+CROSSING_REPS = 15
+
+
+def _call_loop_job(target_ring: int, call_id: str) -> dict:
+    return {
+        "user": "bench",
+        "ring": 4,
+        "program": "call_loop",
+        "args": {"count": CROSSING_COUNT, "target_ring": target_ring},
+        "call_id": call_id,
+    }
+
+
+def test_j3_crossing_vs_same_ring_host_time(benchmark):
+    """The paper's central claim in host time: a crossing call costs
+    what a same-ring call costs.
+
+    One serving engine per ``call_loop`` variant — the gate at ring 0
+    (8,192 crossings per call) and at ring 4 (none) — is warmed until
+    its compiled traces carry the call, then the two are timed
+    interleaved, best of ``CROSSING_REPS``.  The simulated cycle ratio
+    is ≈ 1.18; the host ratio is gated in ``baseline_jit.json``.
+    """
+    engines = {ring: GateCallEngine() for ring in (0, 4)}
+    payloads = {}
+    for ring, engine in engines.items():
+        for i in range(WARM_RUNS + 1):
+            result = engine.run_job(_call_loop_job(ring, f"warm-{i}"))
+        payloads[ring] = result["payload"]
+        assert payloads[ring]["halted"]
+    assert payloads[0]["ring_crossings"] == 2 * CROSSING_COUNT
+    assert payloads[4]["ring_crossings"] == 0
+    assert payloads[0]["instructions"] == payloads[4]["instructions"]
+
+    best = {ring: float("inf") for ring in engines}
+    for i in range(CROSSING_REPS):
+        for ring, engine in engines.items():
+            job = _call_loop_job(ring, f"timed-{i}")
+            start = time.perf_counter()
+            result = engine.run_job(job)
+            best[ring] = min(best[ring], time.perf_counter() - start)
+            assert result["payload"] == payloads[ring]
+    host_ratio = best[0] / best[4]
+    sim_ratio = payloads[0]["cycles"] / payloads[4]["cycles"]
+
+    benchmark.extra_info["crossing_call_ms"] = round(best[0] * 1e3, 3)
+    benchmark.extra_info["same_ring_call_ms"] = round(best[4] * 1e3, 3)
+    benchmark.extra_info["crossing_sim_ratio_vs_same_ring"] = round(
+        sim_ratio, 3
+    )
+    benchmark.extra_info["crossing_host_ratio_vs_same_ring"] = round(
+        host_ratio, 3
+    )
+
+    result = benchmark(
+        lambda: engines[0].run_job(_call_loop_job(0, "benchmark"))
+    )
+    assert result["payload"] == payloads[0]

@@ -20,6 +20,11 @@ starting at a hot block-dispatch head:
 * the CALL and RETURN decision procedures (Figures 8 and 9) are
   evaluated at compile time against the SDWs the entry guards pin, so a
   repeat gate call performs only the register writes of the crossing;
+  the compiler also tracks what each pointer register was last loaded
+  with along the path, so Figure 9's upward PR sweep folds to constant
+  stores (PRs loaded earlier in the pass), inline compares (PRs loaded
+  only later) and one entry flag, ``low``, over the PRs the path never
+  loads — a crossing then costs the host what a same-ring call does;
 * every architectural counter update — cycles, memory traffic, the
   SDW/PTLB/icache hit mirrors, call/return/crossing statistics, the
   interval-timer and event countdowns — is accumulated as path
@@ -81,6 +86,7 @@ from ..words import HALF_MASK, WORD_MASK
 from .access_cache import GROUP_EXECUTE, GROUP_READ, GROUP_WRITE
 from .isa import BY_NUMBER, Op
 from .operations import needs_effective_address
+from .registers import NUM_PR
 from .validate import brackets_of
 
 #: Longest instruction path one recording may cover.
@@ -355,6 +361,21 @@ class _Compiler:
         self.pair_guards: Dict[tuple, int] = {}  # (segno, ring, group) -> segno
         self.code_words: Dict[int, Dict[int, int]] = {}
         self.prs_used: set = set()
+        #: PRs some step of the path loads (EAP, and CALL's PR0)
+        self.prs_written = {
+            step.op.pr_index for step in steps
+            if step.kind == S_EA and step.op.is_eap
+        }
+        if any(step.kind == S_CALL for step in steps):
+            self.prs_written.add(0)
+        #: n -> (segno, wordno, ring) of PRn's last load in this pass of
+        #: the body; None marks a segno or wordno known only at run time
+        #: (the ring is always a folded constant).  Empty at the head, so
+        #: a cyclic body assumes nothing across passes.
+        self.pr_known: Dict[int, tuple] = {}
+        #: highest upward-RETURN floor the PRs the path never loads are
+        #: checked against at entry (None: no such RETURN)
+        self.low_floor: Optional[int] = None
         self.uses_ww = False
         # path accumulators: n, cyc, reads, sdwh, ptlbh, calls, rets, cross
         self.acc = [0] * 8
@@ -423,18 +444,25 @@ class _Compiler:
         ``wordno_expr`` is source text and ``const_wordno`` is its value
         when compile-time constant (None when runtime).  Pointer-register
         fields are guarded inline against their recorded values, so the
-        fold is exact whenever the guard passes.
+        fold is exact whenever the guard passes; the guard is dropped
+        when this pass of the body already loaded exactly those values.
         """
         inst = step.inst
         if inst.prflag:
             ps, pw, pring = step.pr
             n = inst.prnum
-            self.prs_used.add(n)
-            self.body.append(
-                f"if p{n}.segno != {ps} or p{n}.wordno != {pw} "
-                f"or p{n}.ring != {pring}: "
-                + self.exit_before(step, it_expr)
-            )
+            known = self.pr_known.get(n)
+            if known is not None and any(
+                k is not None and k != r for k, r in zip(known, step.pr)
+            ):
+                raise _Abort("known pointer register disagrees with the recording")
+            if known != step.pr:
+                self.prs_used.add(n)
+                self.body.append(
+                    f"if p{n}.segno != {ps} or p{n}.wordno != {pw} "
+                    f"or p{n}.ring != {pring}: "
+                    + self.exit_before(step, it_expr)
+                )
             ring = pring if pring > step.ring else step.ring
             if inst.indexed:
                 expr = f"(({pw} + (({inst.offset} + (acc & HM)) & HM)) & HM)"
@@ -525,6 +553,7 @@ class _Compiler:
                 f"p{n}.segno = {segno}; p{n}.wordno = {wexpr}; "
                 f"p{n}.ring = {ring}"
             )
+            self.pr_known[n] = (segno, wconst, ring)
             return
         if op in _READ_OPS:
             index = self.operand_site(
@@ -640,17 +669,18 @@ class _Compiler:
             # keep crossings on the interpreted path, like the 645 case.
             raise _Abort("authenticated-return-stack CALL crossing")
         if proc.stack_rule == "simple":
-            stack = str(new_ring)
+            stack = new_ring
         elif new_ring == step.ring:
             self.prs_used.add(6)
-            stack = "p6.segno"
+            stack = None  # the caller's stack: p6.segno at run time
         else:
-            stack = str(proc.dbr.stack_segno(new_ring))
+            stack = proc.dbr.stack_segno(new_ring)
         self.prs_used.add(0)
         self.body.append(
-            f"p0.segno = {stack}; p0.wordno = 0; p0.ring = {new_ring}; "
-            f"regs.crr = {step.ring}"
+            f"p0.segno = {'p6.segno' if stack is None else stack}; "
+            f"p0.wordno = 0; p0.ring = {new_ring}; regs.crr = {step.ring}"
         )
+        self.pr_known[0] = (stack, 0, new_ring)
         self.acc[5] += 1
         if new_ring != step.ring:
             self.acc[7] += 1
@@ -685,7 +715,7 @@ class _Compiler:
             # keep crossings on the interpreted path.
             raise _Abort("authenticated-return-stack RETURN crossing")
         if new_ring > step.ring:
-            self.body.append(f"regs.raise_pr_rings({new_ring})")
+            self.emit_raise(new_ring)
         self.acc[6] += 1
         if new_ring != step.ring:
             self.acc[7] += 1
@@ -693,6 +723,30 @@ class _Compiler:
         self.pos = (new_ring, tseg, tword)
         if self.pos != step.post:
             raise _Abort("folded RETURN disagrees with the recording")
+
+    def emit_raise(self, floor: int):
+        """Figure 9's upward sweep, folded against the path's PR loads.
+
+        A PR loaded earlier in this pass has a known ring: it becomes a
+        constant store, and only when that ring is below ``floor``.  A
+        PR the path loads only later gets an inline compare.  The PRs
+        the path never loads change only through sweeps, so one entry
+        check decides them for the whole trace: ``low`` is true when
+        any sits below the highest floor, and then every upward RETURN
+        runs the full sweep — exact on any path.
+        """
+        for n in range(NUM_PR):
+            known = self.pr_known.get(n)
+            if known is not None:
+                if known[2] < floor:
+                    self.body.append(f"p{n}.ring = {floor}")
+                    self.pr_known[n] = (known[0], known[1], floor)
+            elif n in self.prs_written:
+                self.prs_used.add(n)
+                self.body.append(f"if p{n}.ring < {floor}: p{n}.ring = {floor}")
+        if len(self.prs_written) < NUM_PR:
+            self.low_floor = max(floor, self.low_floor or 0)
+            self.body.append(f"if low: regs.raise_pr_rings({floor})")
 
     # -- assembly ------------------------------------------------------------
 
@@ -797,10 +851,17 @@ class _Compiler:
             lines.append(f"    if limit < {n_total}: return 0")
         lines.append("    acc = regs.a")
         lines.append("    qreg = regs.q")
-        if self.prs_used:
+        if self.prs_used or self.low_floor is not None:
             lines.append("    prs = regs.prs")
             for n in sorted(self.prs_used):
                 lines.append(f"    p{n} = prs[{n}]")
+        if self.low_floor is not None:
+            unloaded = " or ".join(
+                f"prs[{n}].ring < {self.low_floor}"
+                for n in range(NUM_PR)
+                if n not in self.prs_written
+            )
+            lines.append(f"    low = {unloaded}")
         if self.cyclic:
             lines.append("    it = 0")
             lines.append("    while True:")

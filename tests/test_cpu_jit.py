@@ -7,8 +7,8 @@ These tests pin the coherence edges the issue calls out — a
 self-modifying write landing inside a compiled trace, SDW eviction
 under associative-memory churn, timer/event expiry at every offset
 around a trace-iteration boundary — plus snapshot/restore parity with
-the tier enabled, the fast-gate entry path, and the
-``REPRO_JIT_PARITY`` co-execution backstop.
+the tier enabled, the fast-gate entry path, the folded Figure 9 PR
+sweep, and the ``REPRO_JIT_PARITY`` co-execution backstop.
 """
 
 import pytest
@@ -23,6 +23,7 @@ from repro.cpu.jit import (
     TraceCache,
     WARMUP_CHUNK,
 )
+from repro.cpu.registers import RegisterFile
 from repro.state.snapshot import restore_machine, snapshot_machine
 
 #: Enough call-loop iterations that the head passes warm-up (four
@@ -386,6 +387,69 @@ class TestFastGate:
         # The DBR switch in attach flushed every host cache.
         assert machine.processor.jit_cache.stats()["compiled"] >= 1
         assert figures(second) == figures(first)
+
+
+class TestCrossingSweepFolded:
+    """Figure 9's upward PR sweep folds into the compiled trace."""
+
+    def warm_repeat(self, **machine_kwargs):
+        machine, process = build_call_loop(
+            count=HOT_COUNT, fast_gate=True, **machine_kwargs
+        )
+        # Run 1 compiles the loop body; runs 2-3 let the entry and exit
+        # stubs cross the hot threshold and compile too.
+        for _ in range(3):
+            machine.run(process, "caller$main", ring=4)
+        return machine, process
+
+    def test_warm_crossing_loop_runs_no_sweep(self, monkeypatch):
+        # The parity backstop replays every trace per-step, sweep
+        # included; this test counts what the trace itself runs.
+        monkeypatch.delenv("REPRO_JIT_PARITY", raising=False)
+        machine, process = self.warm_repeat(jit_tier_enabled=True)
+        sweeps = []
+        original = RegisterFile.raise_pr_rings
+
+        def counting(regs, floor):
+            sweeps.append(floor)
+            original(regs, floor)
+
+        monkeypatch.setattr(RegisterFile, "raise_pr_rings", counting)
+        result = machine.run(process, "caller$main", ring=4)
+        monkeypatch.undo()
+        assert result.halted
+        assert result.ring_crossings == 2 * HOT_COUNT
+        assert machine.processor.jit_cache.stats()["compiled"] == 0
+        # Every upward RETURN ran inside a trace whose entry flag was
+        # clear, so the full eight-PR sweep never ran.
+        assert sweeps == []
+
+        cyclic = [
+            trace for trace in machine.processor.jit_cache._traces.values()
+            if trace.cyclic
+        ]
+        assert cyclic
+        for trace in cyclic:
+            lines = trace.source.splitlines()
+            sweep_lines = [line for line in lines if "raise_pr_rings" in line]
+            assert sweep_lines
+            assert all(
+                line.strip().startswith("if low: ") for line in sweep_lines
+            )
+            # ``return pr4|0`` reuses what ``eap4`` loaded in the same
+            # pass: no p4 guard follows the load.
+            load = next(
+                i for i, line in enumerate(lines) if "p4.segno = " in line
+            )
+            assert not any("p4.segno !=" in line for line in lines[load:])
+
+        reference = figures(result)
+        for tier in ({"block_tier_enabled": True},
+                     {"fast_path_enabled": False, "block_tier_enabled": False}):
+            other, other_process = self.warm_repeat(**tier)
+            assert figures(
+                other.run(other_process, "caller$main", ring=4)
+            ) == reference
 
 
 class TestParityBackstop:
