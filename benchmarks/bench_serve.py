@@ -7,7 +7,7 @@ Three claims to pin:
   (OK / retried-to-OK — zero drops), and the ``stats`` verb's merged
   architectural counters equal both the integer sum of the per-worker
   snapshots *and* the workload arithmetic (``2 * COUNT`` ring crossings
-  per gate call) — the fleet's merge contract held across TCP.
+  per gate call) — the workers' totals held across TCP.
 * **Throughput** (host-dependent, gated): on at least four host cores
   the process backend sustains >= 1000 gate calls/s aggregate with
   four persistent-machine workers.  Gated by ``REPRO_BENCH_STRICT``

@@ -344,34 +344,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.admission import RingPolicy
     from .serve.gateway import GatewayConfig, RingGateway
 
-    def gateway_config(host: str, port: int) -> GatewayConfig:
-        return GatewayConfig(
-            host=host,
-            port=port,
-            workers=args.workers,
-            backend=args.backend,
-            call_timeout=args.call_timeout,
-            drain_timeout=args.drain_timeout,
-            durability_dir=args.durability_dir,
-            checkpoint_interval=args.checkpoint_interval,
-            fsync_every=args.fsync_every,
-            max_sessions=args.max_sessions,
-            session_store_dir=args.session_store,
-            prefetch_interval=args.prefetch_interval,
-            replicas=args.replicas,
-            ship_every=args.ship_every,
-            ack_window=args.ack_window,
-            replica_endpoints=tuple(args.replica_endpoint or ()),
-            machine_profile=args.machine_profile,
-            hardening=tuple(args.hardening or ()),
-            default_policy=RingPolicy(
-                rate=args.rate,
-                burst=args.burst,
-                max_pending=args.max_pending,
-            ),
-            ring_policies=dict(args.ring_limit or []),
-        )
-
     async def wait_for_shutdown() -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -382,8 +354,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
         await stop.wait()
 
-    async def main_single() -> int:
-        gateway = RingGateway(gateway_config(args.host, args.port))
+    async def main() -> int:
+        gateway = RingGateway(
+            GatewayConfig(
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                backend=args.backend,
+                call_timeout=args.call_timeout,
+                drain_timeout=args.drain_timeout,
+                durability_dir=args.durability_dir,
+                checkpoint_interval=args.checkpoint_interval,
+                fsync_every=args.fsync_every,
+                max_sessions=args.max_sessions,
+                session_store_dir=args.session_store,
+                prefetch_interval=args.prefetch_interval,
+                replicas=args.replicas,
+                ship_every=args.ship_every,
+                ack_window=args.ack_window,
+                replica_endpoints=tuple(args.replica_endpoint or ()),
+                machine_profile=args.machine_profile,
+                hardening=tuple(args.hardening or ()),
+                default_policy=RingPolicy(
+                    rate=args.rate,
+                    burst=args.burst,
+                    max_pending=args.max_pending,
+                ),
+                ring_policies=dict(args.ring_limit or []),
+            )
+        )
         await gateway.start()
         durable = (
             f", durable in {args.durability_dir}"
@@ -430,53 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 0
 
-    async def main_routed() -> int:
-        from .serve.router import RouterConfig, SessionRouter
-
-        router = SessionRouter(
-            RouterConfig(
-                host=args.host,
-                port=args.port,
-                call_timeout=args.call_timeout,
-            )
-        )
-        await router.start()
-        for index in range(args.gateways):
-            await router.spawn(
-                f"gw{index}", gateway_config("127.0.0.1", 0)
-            )
-        print(
-            f"session router listening on {args.host}:{router.port} "
-            f"({args.gateways} gateways x {args.workers} workers, "
-            f"{args.max_sessions} live session slots each)",
-            flush=True,
-        )
-        await wait_for_shutdown()
-        print("draining...", flush=True)
-        await router.stop()
-        counters = router.counters
-        print(
-            f"routed {counters.calls_forwarded} calls across "
-            f"{args.gateways} gateways "
-            f"({counters.migrations} migrations, "
-            f"{counters.rebinds} rebinds)",
-            flush=True,
-        )
-        return 0
-
-    if args.gateways > 1:
-        if not args.max_sessions:
-            raise ReproError(
-                "--gateways > 1 requires --max-sessions (the router "
-                "migrates sessions by parking them to the shared store)"
-            )
-        if not args.session_store:
-            raise ReproError(
-                "--gateways > 1 requires --session-store so migrated "
-                "sessions hydrate on their new owner"
-            )
-        return asyncio.run(main_routed())
-    return asyncio.run(main_single())
+    return asyncio.run(main())
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -777,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--session-store",
         metavar="DIR",
         help="persist parked sessions under DIR (default: in-memory; "
-        "required when --gateways > 1)",
+        "requires --max-sessions)",
     )
     serve.add_argument(
         "--prefetch-interval",
@@ -785,14 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         help="idle-tick period for warm-pool prefetching of recently "
         "parked sessions (0: off)",
-    )
-    serve.add_argument(
-        "--gateways",
-        type=int,
-        default=1,
-        metavar="N",
-        help="front N session gateways with a consistent-hash router "
-        "(requires --max-sessions and --session-store)",
     )
     serve.add_argument(
         "--machine-profile",

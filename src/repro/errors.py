@@ -42,26 +42,6 @@ class ConfigurationError(ReproError):
     """A machine, SDW, or subsystem was configured inconsistently."""
 
 
-class FleetWorkerError(ReproError):
-    """A fleet workload raised inside a worker shard.
-
-    Carries the shard index so a failing sweep point can be identified
-    from the driver side — the process backend otherwise surfaces a
-    worker exception with no indication of which shard died.
-    """
-
-    def __init__(self, shard: int, cause: str):
-        self.shard = shard
-        self.cause = cause
-        super().__init__(f"workload failed in shard {shard}: {cause}")
-
-    def __reduce__(self):
-        # Exceptions cross the process-pool boundary by pickling
-        # ``cls(*args)``; rebuild from the structured fields, not the
-        # formatted message.
-        return (FleetWorkerError, (self.shard, self.cause))
-
-
 class BracketOrderError(ConfigurationError):
     """Ring brackets violate the mandatory R1 <= R2 <= R3 ordering."""
 

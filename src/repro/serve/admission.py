@@ -6,7 +6,7 @@ callers, per ring, before any worker is touched:
 
 * a **token bucket** bounds the sustained call rate (``rate`` calls/s
   with ``burst`` tokens of headroom) — the answer to one tenant
-  monopolising the fleet;
+  monopolising the worker pool;
 * a **bounded pending count** caps how many admitted calls may be
   queued or executing at once — the backpressure that keeps latency
   bounded instead of letting queues grow without limit.

@@ -1,4 +1,4 @@
-"""The ring gateway: an asyncio gate-call service in front of the fleet.
+"""The ring gateway: an asyncio gate-call service in front of the workers.
 
 ``RingGateway`` accepts JSON-lines-over-TCP sessions
 (:mod:`repro.serve.protocol`), binds each to a (user, ring) pair via the
@@ -38,10 +38,9 @@ close.
 
 The ``stats`` verb returns the merged
 :class:`~repro.sim.metrics.MetricsSnapshot` figures, per-worker
-snapshots, and gateway counters; ``consistent`` is the fleet driver's
-merge-exactness contract held across the network boundary — the
-gateway's per-worker sums must equal the totals the workers themselves
-counted.
+snapshots, and gateway counters; ``consistent`` is the merge-exactness
+contract held across the network boundary — the gateway's per-worker
+sums must equal the totals the workers themselves counted.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import hashlib
 import uuid
 from collections import deque
 from concurrent.futures import BrokenExecutor
@@ -58,7 +58,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..hardening import HARDENING_FLAGS
-from ..sim.fleet import stable_shard
 from ..sim.metrics import MetricsSnapshot
 from . import catalog
 from .admission import AdmissionController, RingPolicy
@@ -126,7 +125,7 @@ class GatewayConfig:
     #: this many live machines.
     max_sessions: Optional[int] = None
     #: directory backing parked tenants and their WAL tails; ``None``
-    #: parks in worker memory (lost on crash, no cross-gateway handoff)
+    #: parks in worker memory (lost on crash); requires ``max_sessions``
     session_store_dir: Optional[str] = None
     #: zlib-compress parked deltas
     session_compress: bool = True
@@ -268,6 +267,20 @@ def _percentile(samples: List[float], fraction: float) -> float:
     return ordered[rank - 1]
 
 
+def stable_shard(key: str, shards: int) -> int:
+    """Deterministically map ``key`` onto ``[0, shards)``.
+
+    The first 8 bytes of its sha1, big-endian, mod ``shards``: Python's
+    builtin ``hash`` is salted per interpreter (``PYTHONHASHSEED``),
+    which would send the same user to a different shard, away from its
+    parked tenant, after a gateway restart.
+    """
+    if shards <= 0:
+        raise ConfigurationError("shards must be positive")
+    digest = hashlib.sha1(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % shards
+
+
 class RingGateway:
     """The asyncio gate-call server.  See the module docstring."""
 
@@ -278,6 +291,11 @@ class RingGateway:
                 "session mode has its own per-tenant durability (the "
                 "session store); worker durability_dir does not compose "
                 "with it — set session_store_dir instead"
+            )
+        if self.config.session_store_dir and not self.config.max_sessions:
+            raise ConfigurationError(
+                "session_store_dir persists parked session tenants, so "
+                "it requires session mode (max_sessions)"
             )
         if self.config.machine_profile not in MACHINE_PROFILES:
             raise ConfigurationError(
@@ -904,12 +922,12 @@ class RingGateway:
             self._worker_baseline[worker] = (baseline_calls, baseline_total)
 
     async def _verb_park(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Park one user's live tenant now (the migration handoff).
+        """Park one user's live tenant now.
 
-        The router calls this on a session's *old* owner before the new
-        owner sees traffic for it: the park writes the tenant's current
-        state into the shared session store, where the new owner's
-        hydration picks it up.
+        The park writes the tenant's current state into the session
+        store, and the user's next call hydrates it back; a client can
+        use it to set up parked tenants ahead of load.  ``parked`` is
+        false when the user had no live tenant.
         """
         request_id = message.get("id")
         if self._sessions is None:
@@ -931,10 +949,16 @@ class RingGateway:
         try:
             result = await self._session_op(shard, "park", user=user)
         except (BrokenExecutor, RuntimeError, AttributeError) as exc:
+            if self._draining:
+                self.counters.rejected_shutting_down += 1
+                return error_response(
+                    ErrorCode.SHUTTING_DOWN,
+                    request_id,
+                    retry_after=DRAIN_RETRY_AFTER,
+                    detail=f"park failed: {exc}",
+                )
             return error_response(
-                ErrorCode.SHUTTING_DOWN
-                if self._draining
-                else ErrorCode.BAD_REQUEST,
+                ErrorCode.BAD_REQUEST,
                 request_id,
                 detail=f"park failed: {exc}",
             )

@@ -63,7 +63,7 @@ class LoadReport:
     client_metrics: Dict[str, int] = field(default_factory=dict)
     #: the first few non-retryable error responses, for diagnosis
     error_details: List[Dict[str, Any]] = field(default_factory=list)
-    #: the gateway's (or router's) final ``stats`` response
+    #: the gateway's final ``stats`` response
     stats: Optional[Dict[str, Any]] = None
     #: adversarial mode: the fault-code name every call is REQUIRED to
     #: come back with (``None`` = normal load, faults are errors)
@@ -139,21 +139,8 @@ class LoadReport:
                     f"gateway serves hardening {served_flags!r}, "
                     f"expected {sorted(self.expect_hardening)!r}"
                 )
-        routed = "router" in self.stats
-        if routed:
-            # Router payload: no single "gateway" block — completed is
-            # summed over the backends, and the router's own per-call
-            # growth accounting must agree with every backend.
-            completed = sum(
-                entry.get("completed", 0)
-                for entry in self.stats.get("per_gateway", {}).values()
-            )
-            if not self.stats.get("router_consistent"):
-                problems.append(
-                    "router per-call sums disagree with backend counters"
-                )
-        else:
-            completed = self.stats.get("gateway", {}).get("completed", -1)
+        gateway = self.stats.get("gateway", {})
+        completed = gateway.get("completed", -1)
         if completed < self.ok:
             problems.append(
                 f"gateway completed {completed} < client OK count {self.ok}"
@@ -164,12 +151,10 @@ class LoadReport:
         # call answered from a recovered worker's journal reaches this
         # client but is part of the replayed history the gateway's
         # baselines absorb, so the two sums legitimately differ.
-        gateway = self.stats.get("gateway", {})
         crash_free = not gateway.get("recoveries", 0)
         gateway_arch = self.stats.get("architectural", {})
         if (
-            not routed
-            and not self.dropped
+            not self.dropped
             and crash_free
             and self.client_metrics
             and gateway_arch != self.client_metrics

@@ -34,8 +34,8 @@ layer is built on:
 * the ``fast_gate`` attach memo can never leak across a hydration — a
   hydrated machine re-fetches its descriptors on first use.
 
-Worker shards: the gateway consistent-hashes each user onto one shard
-(:func:`repro.sim.fleet.stable_shard`) and each shard runs on its own
+Worker shards: the gateway hashes each user onto one shard
+(:func:`repro.serve.gateway.stable_shard`) and each shard runs on its own
 pool worker, so a tenant's machine state always lives in exactly one
 process.  The shard-side state in this module is keyed by
 shard index, which keeps the thread fallback (all shards in one
@@ -151,10 +151,9 @@ class SessionStore:
     """Parked tenant deltas plus the base images they reference.
 
     In-memory by default; with ``dir`` every artifact is a file, safe
-    to share across shards and gateways because each user's files are
-    only ever touched by the user's current owner (consistent hashing
-    gives every session exactly one owner, and a migration parks on the
-    old owner before the new one hydrates).
+    to share across shards because each user's files are only ever
+    touched by the one shard that user hashes to, and across gateway
+    restarts because the hash is stable.
 
     Base images are named by their snapshot digest, with a per-shape
     pointer file electing the shape's base; concurrent first-parkers
@@ -450,7 +449,7 @@ class SessionPool:
         return blob
 
     def park_user(self, user: str) -> bool:
-        """Park ``user`` now if live (the migration handoff path)."""
+        """Park ``user`` now if live (the gateway's ``park`` verb)."""
         tenant = self.live.pop(user, None)
         if tenant is None:
             return False

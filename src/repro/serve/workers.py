@@ -1,11 +1,11 @@
 """Persistent-machine workers behind asyncio worker channels.
 
-The fleet driver (:mod:`repro.sim.fleet`) builds a fresh machine per
-shard — right for batch sweeps, far too slow for serving (machine
-construction costs more than a small gate call).  The gateway instead
-keeps one :class:`~repro.sim.machine.Machine` alive per pool worker and
-routes every request to whichever worker is free; programs and user
-processes are installed lazily and cached for the worker's lifetime.
+Building a fresh machine per call is far too slow for serving
+(machine construction costs more than a small gate call), so the
+gateway keeps one :class:`~repro.sim.machine.Machine` alive per pool
+worker and routes every request to whichever worker is free; programs
+and user processes are installed lazily and cached for the worker's
+lifetime.
 
 Each worker owns one end of a ``socket.socketpair()``; the gateway
 holds the other end as an :class:`asyncio.Protocol` on its own event
@@ -45,8 +45,8 @@ cross-check sums.
 Every result carries the per-call :class:`MetricsSnapshot` delta *and*
 the worker's own cumulative totals.  The gateway sums the deltas per
 worker; the ``stats`` verb then cross-checks its sums against what the
-workers themselves counted — the same merge-exactness contract the
-fleet's ``verify_merge`` pins, held across a network boundary.
+workers themselves counted: the merged figures must equal what the
+workers accumulated, held across a network boundary.
 """
 
 from __future__ import annotations
@@ -806,7 +806,7 @@ class WorkerPool:
     ``backend`` is ``"process"`` (real parallelism) or ``"thread"``
     (GIL-bound but dependency-free); hosts where worker processes
     cannot be forked or probed fall back to threads with identical
-    results, mirroring the fleet driver's serial fallback.
+    results.
     ``durability`` installs per-worker journaling and checkpointing
     (see :class:`DurabilityConfig`).  ``session`` selects the session
     layout: worker ``k`` hosts session shard ``k`` of

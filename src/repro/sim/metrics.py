@@ -1,4 +1,4 @@
-"""Metrics collection for experiments, benchmarks, and the fleet driver.
+"""Metrics collection for experiments, benchmarks, and the gateway.
 
 A :class:`MetricsSnapshot` freezes every counter the simulation keeps —
 processor cycles and statistics, memory traffic, SDW-cache behaviour,
@@ -9,8 +9,8 @@ which counter.
 Snapshots are value objects and support arithmetic: :meth:`minus` turns
 two cumulative snapshots into a per-phase delta (what
 ``Machine.run(reset_counters=False)`` uses so consecutive runs still
-compose), and :meth:`plus` / :meth:`sum_of` merge the per-shard
-snapshots of a :mod:`repro.sim.fleet` run into fleet totals.
+compose), and :meth:`plus` / :meth:`sum_of` merge the per-worker
+snapshots the gateway sums into one total.
 
 Every served gate call is accounted several times over (collected on
 the worker, added to its totals, shipped as a dict, parsed and summed
@@ -152,14 +152,14 @@ class MetricsSnapshot:
         return MetricsSnapshot(*map(sub, _values(self), _values(earlier)))
 
     def plus(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """``self + other`` as a snapshot (shard merging)."""
+        """``self + other`` as a snapshot (per-worker merging)."""
         return MetricsSnapshot(*map(add, _values(self), _values(other)))
 
     @classmethod
     def sum_of(
         cls, snapshots: Iterable["MetricsSnapshot"]
     ) -> "MetricsSnapshot":
-        """Merge many shards' snapshots into one fleet total."""
+        """Merge many workers' snapshots into one total."""
         total = cls.zero()
         for snapshot in snapshots:
             total = total.plus(snapshot)

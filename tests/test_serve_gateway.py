@@ -7,14 +7,23 @@ an actual TCP connection — the wire format is part of the contract.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.adversary.corpus import ATTACK_FAMILIES
 from repro.errors import ConfigurationError
 from repro.serve import catalog
 from repro.serve.admission import RingPolicy
-from repro.serve.gateway import GatewayConfig, RingGateway, _percentile
+from repro.serve.gateway import (
+    GatewayConfig,
+    RingGateway,
+    _percentile,
+    stable_shard,
+)
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import ErrorCode
 from repro.serve.workers import GateCallEngine, execute_gate_call
@@ -450,6 +459,136 @@ class TestDrainAndStats:
             )
 
         run(with_gateway(config, body))
+
+
+class TestParkVerb:
+    """``park``: write a live session tenant to the store now."""
+
+    def session_config(self, **overrides):
+        return gateway_config(max_sessions=4, prefetch_interval=0, **overrides)
+
+    def test_park_then_hydrate_matches_a_never_parked_twin(self):
+        async def body(gateway):
+            parked = await Client(gateway.port).connect()
+            await parked.hello("alice", 4)
+            twin = await Client(gateway.port).connect()
+            await twin.hello("bob", 4)
+            call = dict(verb="call", program="call_loop", args={"count": 2})
+            first = await parked.request(id=1, **call)
+            assert first["ok"], first
+
+            reply = await parked.request(verb="park", id=2, user="alice")
+            assert reply["ok"], reply
+            assert reply["parked"] is True
+            again = await parked.request(verb="park", id=3, user="alice")
+            assert again["ok"], again
+            assert again["parked"] is False
+
+            hydrated = await parked.request(id=4, **call)
+            assert hydrated["ok"], hydrated
+            assert hydrated["session"]["admitted"] == "hydrated"
+            # a hydrated tenant re-attaches cold, exactly like the first
+            # call of a tenant that never left its slot
+            fresh = await twin.request(id=5, **call)
+            assert fresh["ok"], fresh
+            assert hydrated["metrics"] == fresh["metrics"]
+            warm = await twin.request(id=6, **call)
+            assert warm["metrics"] != fresh["metrics"]
+            assert gateway.counters.session_hydrated == 1
+            await parked.close()
+            await twin.close()
+
+        run(with_gateway(self.session_config(), body))
+
+    def test_bad_park_requests(self):
+        async def classic(gateway):
+            client = await Client(gateway.port).connect()
+            reply = await client.request(verb="park", id=1, user="alice")
+            assert reply["error"] == ErrorCode.BAD_REQUEST
+            assert gateway.counters.bad_requests == 1
+            await client.close()
+
+        async def session(gateway):
+            client = await Client(gateway.port).connect()
+            for bad in ({}, {"user": ""}, {"user": 7}, {"user": ["alice"]}):
+                before = gateway.counters.bad_requests
+                reply = await client.request(verb="park", id=1, **bad)
+                assert reply["error"] == ErrorCode.BAD_REQUEST, bad
+                assert gateway.counters.bad_requests == before + 1, bad
+            await client.close()
+
+        run(with_gateway(gateway_config(), classic))
+        run(with_gateway(self.session_config(), session))
+
+    def test_park_failing_while_draining_asks_for_a_retry(self):
+        async def body(gateway):
+            client = await Client(gateway.port).connect()
+
+            def broken(shard, op, **fields):
+                raise RuntimeError("pool is stopping")
+
+            gateway._session_op = broken
+            gateway._draining = True
+            try:
+                reply = await client.request(verb="park", id=1, user="alice")
+            finally:
+                gateway._draining = False
+                del gateway._session_op
+            assert reply["error"] == ErrorCode.SHUTTING_DOWN
+            assert reply["retry_after"] > 0
+            assert gateway.counters.rejected_shutting_down == 1
+            await client.close()
+
+        run(with_gateway(self.session_config(), body))
+
+    def test_session_store_requires_session_mode(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="max_sessions"):
+            RingGateway(gateway_config(session_store_dir=str(tmp_path)))
+
+
+class TestStableShard:
+    """The user-to-shard map: parked tenants live on the shard it names,
+    so it must never change between releases or interpreters."""
+
+    PINNED = {
+        "alice": [1, 2, 1, 3],
+        "bob": [0, 0, 2, 3],
+        "tenant000": [0, 0, 2, 0],
+        "u0": [1, 2, 3, 2],
+    }
+    SHARDS = (2, 3, 4, 7)
+
+    def test_pinned_values(self):
+        for key, expected in self.PINNED.items():
+            assert [stable_shard(key, n) for n in self.SHARDS] == expected
+
+    def test_results_lie_in_range(self):
+        for n in range(1, 17):
+            for index in range(64):
+                assert 0 <= stable_shard(f"user{index}", n) < n
+
+    def test_independent_of_the_hash_seed(self):
+        script = (
+            "from repro.serve.gateway import stable_shard\n"
+            f"print([[stable_shard(k, n) for n in {self.SHARDS!r}]"
+            f" for k in {sorted(self.PINNED)!r}])"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout)
+        expected = [self.PINNED[key] for key in sorted(self.PINNED)]
+        assert outputs[0] == outputs[1] == f"{expected}\n"
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_rejects_non_positive_shards(self, shards):
+        with pytest.raises(ConfigurationError):
+            stable_shard("alice", shards)
 
 
 class TestWorkerFunction:
