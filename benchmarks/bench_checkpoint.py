@@ -123,7 +123,6 @@ def test_d2_journal_overhead_within_budget(benchmark, tmp_path):
     """WAL-on worker <= 15% over the plain worker; results identical."""
 
     def plain_run():
-        workers.configure_durability(None)
         state = _WorkerState()
         try:
             return [state.execute(_job(i)) for i in range(CALLS)]
@@ -131,21 +130,18 @@ def test_d2_journal_overhead_within_budget(benchmark, tmp_path):
             workers.release_live_slots()
 
     def durable_run(root, checkpoint_interval):
-        workers.configure_durability(
-            DurabilityConfig(
-                dir=str(root),
-                slots=1,
-                checkpoint_interval=checkpoint_interval,
-                fsync_every=32,
-            )
+        durability = DurabilityConfig(
+            dir=str(root),
+            slots=1,
+            checkpoint_interval=checkpoint_interval,
+            fsync_every=32,
         )
         try:
-            state = _WorkerState()
+            state = _WorkerState(durability)
             results = [state.execute(_job(i)) for i in range(CALLS)]
             state.journal.sync()
             return state.slot_dir, results
         finally:
-            workers.configure_durability(None)
             workers.release_live_slots()
 
     def timed_durable(label, checkpoint_interval):
@@ -247,13 +243,11 @@ def test_d3_snapshot_compression_tradeoff(benchmark, tmp_path):
 
 def test_d4_checkpoint_size_is_constant(benchmark, tmp_path):
     """Checkpoint bytes after 1,024 served calls <= 1.01x those after 64."""
-    workers.configure_durability(
-        DurabilityConfig(
-            dir=str(tmp_path), slots=1, checkpoint_interval=64, fsync_every=32
-        )
+    durability = DurabilityConfig(
+        dir=str(tmp_path), slots=1, checkpoint_interval=64, fsync_every=32
     )
     try:
-        state = _WorkerState()
+        state = _WorkerState(durability)
         path = os.path.join(state.slot_dir, SNAPSHOT_NAME)
         sizes = {}
         latencies = {}
@@ -265,7 +259,6 @@ def test_d4_checkpoint_size_is_constant(benchmark, tmp_path):
                 sizes[i] = os.path.getsize(path)
         assert "recent_calls" not in read_snapshot_file(path)["extra"]
     finally:
-        workers.configure_durability(None)
         workers.release_live_slots()
 
     first, last = SIZE_POINTS

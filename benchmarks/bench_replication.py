@@ -180,16 +180,14 @@ def test_r1_replication_costs(benchmark, tmp_path):
     overhead = replicated_s / plain_s - 1.0
 
     # -- Part B: failover latency, hot promotion vs cold replay ------
-    workers.configure_durability(
-        DurabilityConfig(
-            dir=str(tmp_path / "failover"),
-            slots=1,
-            checkpoint_interval=10_000,
-            fsync_every=8,
-        )
+    durability = DurabilityConfig(
+        dir=str(tmp_path / "failover"),
+        slots=1,
+        checkpoint_interval=10_000,
+        fsync_every=8,
     )
     try:
-        primary = _WorkerState()
+        primary = _WorkerState(durability)
         slot_dir = primary.slot_dir
         for i in range(TAIL_CALLS):
             result = primary.execute(_job(i, count=FAILOVER_COUNT))
@@ -198,7 +196,6 @@ def test_r1_replication_costs(benchmark, tmp_path):
         primary_arch = primary.engine.total.architectural()
     finally:
         workers.release_live_slots()
-        workers.configure_durability(None)
 
     # the cold path first — promotion writes a snapshot that would
     # otherwise hand it a head start

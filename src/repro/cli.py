@@ -59,6 +59,8 @@ from .asm import assemble, listing
 from .asm.disasm import disassemble_image
 from .core.acl import AclEntry, RingBracketSpec
 from .errors import ReproError
+from .hardening import HARDENING_FLAGS
+from .sim.config import MACHINE_PROFILES
 from .sim.machine import Machine
 
 
@@ -741,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--machine-profile",
-        choices=("ringed", "baseline645"),
+        choices=MACHINE_PROFILES,
         default="ringed",
         help="worker machine hardware profile: 'ringed' (hardware ring "
         "checks) or 'baseline645' (GE 645 software rings, identical "
@@ -751,10 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--hardening",
         action="append",
         default=[],
-        choices=("auth_return_stack", "ring_domains", "nx_brackets"),
+        choices=HARDENING_FLAGS,
         metavar="FLAG",
         help="enable a hardening extension on every worker machine "
-        "(repeatable): auth_return_stack, ring_domains, nx_brackets",
+        f"(repeatable): {', '.join(HARDENING_FLAGS)}",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -806,14 +808,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--expect-profile",
-        choices=("ringed", "baseline645"),
+        choices=MACHINE_PROFILES,
         help="assert the gateway's advertised machine profile",
     )
     loadgen.add_argument(
         "--expect-hardening",
         action="append",
         default=None,
-        choices=("auth_return_stack", "ring_domains", "nx_brackets"),
+        choices=HARDENING_FLAGS,
         metavar="FLAG",
         help="assert the gateway's advertised hardening flags "
         "(repeatable; the set must match exactly)",

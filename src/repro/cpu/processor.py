@@ -102,6 +102,32 @@ class CostModel:
     auth_mac_cycles: int = 1
 
 
+def resolve_tiers(
+    fast_path: bool, block_tier: Optional[bool], jit_tier: Optional[bool]
+) -> Tuple[bool, bool]:
+    """The (block, trace) host tiers a processor with these knobs runs.
+
+    Each tier is built on the one below it.  ``None`` follows the tier
+    below; the trace tier stays off unless ``REPRO_JIT_PARITY`` asks
+    for it wherever the block tier runs.  Enabling a tier whose
+    foundation is off is a contradiction, not a preference.
+    """
+    block = fast_path if block_tier is None else block_tier
+    if block and not fast_path:
+        raise ConfigurationError(
+            "block_tier_enabled=True requires fast_path_enabled=True: "
+            "the superblock tier rides the fast-path PTLB"
+        )
+    jit = (parity_requested() and block) if jit_tier is None else jit_tier
+    if jit and not block:
+        raise ConfigurationError(
+            "jit_tier_enabled=True requires the superblock tier: the "
+            "trace tier records through superblock dispatch, which "
+            "rides the fast-path PTLB"
+        )
+    return block, jit
+
+
 @dataclass
 class ProcessorStats:
     """Counters the benchmarks and experiments read out."""
@@ -147,24 +173,11 @@ class Processor:
             raise ConfigurationError(f"unknown stack rule {stack_rule!r}")
         if not 2 <= nrings <= 8:
             raise ConfigurationError(f"nrings must be in [2, 8], got {nrings}")
-        if block_tier is None:
-            block_tier = fast_path
-        if block_tier and not fast_path:
-            raise ConfigurationError(
-                "the superblock tier rides the fast-path PTLB; "
-                "block_tier=True requires fast_path=True"
-            )
-        # REPRO_JIT_PARITY=1 is the parity-backstop mode: force the
-        # trace tier on wherever the block tier is on, and co-execute
-        # every trace against the per-step interpreter.
+        block_tier, jit_tier = resolve_tiers(fast_path, block_tier, jit_tier)
+        # REPRO_JIT_PARITY=1 is the parity-backstop mode: the trace tier
+        # runs wherever the block tier does (resolve_tiers), and every
+        # trace is co-executed against the per-step interpreter.
         parity = parity_requested()
-        if jit_tier is None:
-            jit_tier = parity and block_tier
-        if jit_tier and not block_tier:
-            raise ConfigurationError(
-                "the trace-compile tier records through superblock "
-                "dispatch; jit_tier=True requires block_tier=True"
-            )
         self.memory = memory
         self.dbr = dbr or DBR()
         self.cost = cost or CostModel()

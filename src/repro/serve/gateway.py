@@ -52,12 +52,12 @@ import hashlib
 import uuid
 from collections import deque
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..hardening import HARDENING_FLAGS
+from ..sim.config import MachineConfig
 from ..sim.metrics import MetricsSnapshot
 from . import catalog
 from .admission import AdmissionController, RingPolicy
@@ -78,7 +78,7 @@ from .sessions import (
 )
 from .standby import ReplicaSet, ReplicationConfig
 from .workers import (
-    MACHINE_PROFILES,
+    SERVING_MACHINE,
     DurabilityConfig,
     WorkerPool,
     execute_gate_call,
@@ -127,11 +127,6 @@ class GatewayConfig:
     #: directory backing parked tenants and their WAL tails; ``None``
     #: parks in worker memory (lost on crash); requires ``max_sessions``
     session_store_dir: Optional[str] = None
-    #: zlib-compress parked deltas
-    session_compress: bool = True
-    #: memory size of session tenant machines (small: hydration cost
-    #: scales with machine memory)
-    session_memory_words: int = TENANT_MEMORY_WORDS
     #: idle-tick period of the warm-pool prefetcher; 0 disables it
     prefetch_interval: float = 0.05
     #: tenants hydrated per shard per idle tick
@@ -146,16 +141,22 @@ class GatewayConfig:
     #: external ``repro standby`` endpoints (``HOST:PORT``) to ship to,
     #: in addition to any in-process replicas
     replica_endpoints: Tuple[str, ...] = ()
-    #: worker machine profile: ``ringed`` (the paper's hardware) or
-    #: ``baseline645`` (software-assisted crossings at 150 cycles each);
-    #: protection verdicts are identical, crossing cost is not — the
-    #: knob behind the live hardware-vs-software A/B
+    #: worker machine profile, one of
+    #: :data:`~repro.sim.config.MACHINE_PROFILES` — the knob behind the
+    #: live hardware-vs-software A/B
     machine_profile: str = "ringed"
     #: hardening extensions enabled on every worker machine, as a tuple
     #: of flag names from :data:`~repro.hardening.HARDENING_FLAGS`;
     #: advertised in ``stats`` and in every call result so clients can
     #: tell which machine answered them
     hardening: Tuple[str, ...] = ()
+
+    def machine(self) -> MachineConfig:
+        """The shape of every worker machine: a serving machine on
+        ``machine_profile``'s processor with ``hardening``'s flags."""
+        return SERVING_MACHINE.with_profile(
+            self.machine_profile, self.hardening
+        )
 
     def durability(self) -> Optional[DurabilityConfig]:
         """The worker-side durability config, or ``None`` if disabled."""
@@ -194,14 +195,11 @@ class GatewayConfig:
             max_live=max(1, ceil(self.max_sessions / self.workers)),
             shards=self.workers,
             store_dir=self.session_store_dir,
-            memory_words=self.session_memory_words,
-            compress=self.session_compress,
+            machine=replace(
+                self.machine(), memory_words=TENANT_MEMORY_WORDS
+            ),
             fsync_every=self.fsync_every,
             prefetch_batch=self.prefetch_batch,
-            # distinct per gateway instance: in-process gateways on the
-            # thread fallback share the worker module state and must
-            # not see each other's shard pools
-            namespace=uuid.uuid4().hex,
         )
 
 
@@ -297,35 +295,16 @@ class RingGateway:
                 "session_store_dir persists parked session tenants, so "
                 "it requires session mode (max_sessions)"
             )
-        if self.config.machine_profile not in MACHINE_PROFILES:
-            raise ConfigurationError(
-                f"unknown machine profile "
-                f"{self.config.machine_profile!r}; expected one of "
-                f"{MACHINE_PROFILES}"
-            )
-        if self.config.machine_profile != "ringed" and (
-            self.config.max_sessions or self.config.replicas
-            or self.config.replica_endpoints
+        #: the shape of every worker machine, validated here so a bad
+        #: profile or hardening flag fails at construction
+        self.machine = self.config.machine()
+        if self.machine != SERVING_MACHINE and (
+            self.config.replicas or self.config.replica_endpoints
         ):
             raise ConfigurationError(
-                "machine_profile is an A/B measurement knob for the "
-                "classic worker pool; it does not compose with session "
-                "mode or replication"
-            )
-        for flag in self.config.hardening:
-            if flag not in HARDENING_FLAGS:
-                raise ConfigurationError(
-                    f"unknown hardening flag {flag!r}; expected a subset "
-                    f"of {HARDENING_FLAGS}"
-                )
-        if self.config.hardening and (
-            self.config.max_sessions or self.config.replicas
-            or self.config.replica_endpoints
-        ):
-            raise ConfigurationError(
-                "hardening is an ablation knob for the classic worker "
-                "pool; it does not compose with session mode or "
-                "replication"
+                "replicas build ringed, unhardened serving machines, so "
+                "replication requires the default machine_profile and "
+                "no hardening"
             )
         self._sessions = self.config.sessions()
         #: validated eagerly so a bad replication setup fails at
@@ -375,8 +354,7 @@ class RingGateway:
             workers=self.config.workers,
             backend=self.config.backend,
             durability=self.config.durability(),
-            machine_profile=self.config.machine_profile,
-            hardening=self.config.hardening,
+            machine=self.machine,
             session=self._sessions,
         )
         await pool.start()
@@ -512,7 +490,7 @@ class RingGateway:
     ) -> asyncio.Future:
         """Submit one shard maintenance op (see
         :func:`~repro.serve.sessions.session_control`) to its worker."""
-        request = {"op": op, "shard": shard, "ns": self._sessions.namespace}
+        request = {"op": op, "shard": shard}
         return self.pool.submit(
             session_control, {**request, **fields}, worker=shard
         )
@@ -689,7 +667,6 @@ class RingGateway:
             # worker affinity: the user's live machine (or parked
             # image) belongs to exactly one shard
             job["shard"] = stable_shard(session.user, self.config.workers)
-            job["ns"] = self._sessions.namespace
         loop = asyncio.get_running_loop()
         started = loop.time()
         result: Optional[Dict[str, Any]] = None
@@ -1079,8 +1056,8 @@ class RingGateway:
             workers={
                 "backend": self.pool.backend if self.pool else "stopped",
                 "configured": self.config.workers,
-                "machine_profile": self.config.machine_profile,
-                "hardening": list(self.config.hardening),
+                "machine_profile": self.machine.profile,
+                "hardening": list(self.machine.hardening.enabled_flags()),
                 "pool_epoch": self._pool_epoch,
                 "durability": {
                     "enabled": bool(self.config.durability_dir),

@@ -125,18 +125,25 @@ class LoadReport:
             problems.append(
                 "gateway reports merged != sum of per-worker snapshots"
             )
-        if self.expect_profile is not None:
-            served = self.stats.get("workers", {}).get("machine_profile")
-            if served != self.expect_profile:
+        # the gateway advertises a shape, and each worker reports the
+        # shape of the machine that answered: all must match
+        workers = self.stats.get("workers", {})
+        for who, info in [("gateway", workers)] + [
+            (f"worker {name}", info)
+            for name, info in workers.get("per_worker", {}).items()
+        ]:
+            profile = info.get("machine_profile")
+            if self.expect_profile not in (None, profile):
                 problems.append(
-                    f"gateway serves machine profile {served!r}, "
+                    f"{who} serves machine profile {profile!r}, "
                     f"expected {self.expect_profile!r}"
                 )
-        if self.expect_hardening is not None:
-            served_flags = self.stats.get("workers", {}).get("hardening")
-            if sorted(served_flags or []) != sorted(self.expect_hardening):
+            flags = sorted(info.get("hardening") or [])
+            if self.expect_hardening is not None and flags != sorted(
+                self.expect_hardening
+            ):
                 problems.append(
-                    f"gateway serves hardening {served_flags!r}, "
+                    f"{who} serves hardening {flags!r}, "
                     f"expected {sorted(self.expect_hardening)!r}"
                 )
         gateway = self.stats.get("gateway", {})

@@ -50,10 +50,11 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError, SnapshotError
+from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
@@ -69,7 +70,7 @@ from ..state.snapshot import (
     snapshot_machine,
     write_snapshot_file,
 )
-from .workers import GateCallEngine
+from .workers import SERVING_MACHINE, GateCallEngine
 
 #: per-tenant duplicate-suppression cache, persisted across parks — a
 #: retried call id that raced a park is answered from here instead of
@@ -87,6 +88,9 @@ PARKED_RECENT_CALLS = 2
 #: machine construction and hydration
 TENANT_MEMORY_WORDS = 1 << 16
 
+#: the default tenant shape: a serving machine at tenant size
+TENANT_MACHINE = replace(SERVING_MACHINE, memory_words=TENANT_MEMORY_WORDS)
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -97,28 +101,22 @@ class SessionConfig:
     parked tenants (and their WAL tails) with files shared across
     shards and gateways — ``None`` keeps them in shard memory, which
     serves fine but loses parked tenants with the process and cannot
-    hand sessions across gateways.
+    hand sessions across gateways.  ``machine`` is the shape of a new
+    tenant's machine; a hydrated tenant keeps the shape it parked with.
     """
 
     max_live: int
     shards: int = 1
     store_dir: Optional[str] = None
-    memory_words: int = TENANT_MEMORY_WORDS
-    compress: bool = True
+    machine: MachineConfig = TENANT_MACHINE
     fsync_every: int = 8
     prefetch_batch: int = 2
-    #: isolates this pool's shard state from other gateways living in
-    #: the same process (the thread fallback runs every in-process
-    #: gateway's shards on shared module state)
-    namespace: str = ""
 
     def __post_init__(self) -> None:
         if self.max_live <= 0:
             raise ConfigurationError("max_live must be positive")
         if self.shards <= 0:
             raise ConfigurationError("shards must be positive")
-        if self.memory_words <= 0:
-            raise ConfigurationError("memory_words must be positive")
         if self.fsync_every <= 0:
             raise ConfigurationError("fsync_every must be positive")
 
@@ -422,7 +420,7 @@ class SessionPool:
         snap = snapshot_machine(engine.machine, extra=extra)
         base = self.store.base_for_shape(self._shape_key(snap), snap)
         delta = delta_snapshot(snap, base)
-        blob = encode_delta(delta, compress=self.config.compress)
+        blob = encode_delta(delta, compress=True)
         self.store.put(tenant.user, blob)
         if tenant.tail is not None:
             tenant.tail.close()
@@ -466,15 +464,6 @@ class SessionPool:
         return parked
 
     # -- admit --------------------------------------------------------------
-
-    def _fresh_engine(self) -> GateCallEngine:
-        machine = Machine(
-            services=False,
-            jit_tier_enabled=True,
-            fast_gate=True,
-            memory_words=self.config.memory_words,
-        )
-        return GateCallEngine(machine)
 
     def _hydrate(self, user: str) -> Optional[TenantSession]:
         blob = self.store.get(user)
@@ -520,7 +509,8 @@ class SessionPool:
         if tenant is None:
             if prefetch:
                 return None, "absent"
-            tenant = TenantSession(user, self._fresh_engine())
+            engine = GateCallEngine(Machine(self.config.machine))
+            tenant = TenantSession(user, engine)
             how = "created"
         self.live[user] = tenant
         self.counters[
@@ -621,6 +611,7 @@ class SessionPool:
                     MetricsSnapshot.from_dict(result["metrics"])
                 )
         out = dict(result)
+        out.update(tenant.engine.shape())
         out["session"] = {
             "cold": not warm,
             "admitted": admitted,
@@ -648,40 +639,29 @@ class SessionPool:
 # worker-side entry points (the shard workers run these)
 # ---------------------------------------------------------------------------
 
-_CONFIGS: Dict[str, SessionConfig] = {}
-_POOLS: Dict[Tuple[str, int], SessionPool] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def configure_sessions(config: SessionConfig) -> None:
-    """Install ``config`` for its namespace's shard pools in this
-    process, dropping any existing pools of that namespace (a pool
-    rebuild wants fresh workers) — other namespaces are untouched, so
-    in-process gateways do not clobber each other."""
-    with _POOLS_LOCK:
-        _CONFIGS[config.namespace] = config
-        for key in [k for k in _POOLS if k[0] == config.namespace]:
-            del _POOLS[key]
+#: the shard a worker serves: its session config and, once it has served
+#: a call, its pool — thread-local, so every thread-backend worker holds
+#: its own shard and pools sharing a process never see each other
+_WORKER = threading.local()
 
 
 def _init_session_worker(config: SessionConfig) -> None:
-    """Forked shard worker initializer: drop forked-in shard state."""
-    configure_sessions(config)
+    """Shard worker initializer, run on the worker's own thread (it
+    also drops a shard pool inherited from a forked parent)."""
+    _WORKER.config = config
+    _WORKER.pool = None
 
 
-def _pool(namespace: str, shard: int) -> SessionPool:
-    with _POOLS_LOCK:
-        pool = _POOLS.get((namespace, shard))
-        if pool is None:
-            config = _CONFIGS.get(namespace)
-            if config is None:
-                raise ConfigurationError(
-                    "session workers are not configured in this process "
-                    f"for namespace {namespace!r}"
-                )
-            pool = SessionPool(config, shard=shard)
-            _POOLS[(namespace, shard)] = pool
-        return pool
+def _pool(shard: int) -> SessionPool:
+    pool = getattr(_WORKER, "pool", None)
+    if pool is None:
+        config = getattr(_WORKER, "config", None)
+        if config is None:
+            raise ConfigurationError(
+                "this thread is not a configured session worker"
+            )
+        pool = _WORKER.pool = SessionPool(config, shard=shard)
+    return pool
 
 
 def session_ping(shard: int, token: int) -> Dict[str, Any]:
@@ -701,7 +681,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     cross-check spans the whole shard, not one tenant.
     """
     shard = int(job.get("shard", 0))
-    pool = _pool(job.get("ns", ""), shard)
+    pool = _pool(shard)
     out = pool.execute(job)
     out["worker"] = f"shard{shard}"
     out["pid"] = os.getpid()
@@ -714,7 +694,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
 def session_control(op: Dict[str, Any]) -> Dict[str, Any]:
     """Shard maintenance operations (stats / park / prefetch / drain)."""
     shard = int(op.get("shard", 0))
-    pool = _pool(op.get("ns", ""), shard)
+    pool = _pool(shard)
     kind = op.get("op")
     if kind == "stats":
         return pool.stats()

@@ -79,7 +79,7 @@ from typing import (
 
 from ..cpu.faults import Fault
 from ..errors import ConfigurationError, ReproError
-from ..hardening import HARDENING_FLAGS, HardeningConfig
+from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
@@ -93,19 +93,13 @@ if TYPE_CHECKING:
 
 BACKENDS = ("process", "thread")
 
-#: selectable worker machine profiles: ``ringed`` runs the paper's ring
-#: hardware; ``baseline645`` runs the GE-645 trap machine, where every
-#: ring crossing is completed by the software assist at
-#: ``SOFT_CROSSING_CYCLES`` apiece.  Protection verdicts are identical
-#: (validation precedes the trap); only the crossing cost differs —
-#: which is exactly what the live A/B measures.
-MACHINE_PROFILES = ("ringed", "baseline645")
-
-_MACHINE_PROFILE = "ringed"
-
-#: hardening extensions enabled for engines built in this process, as a
-#: tuple of flag names from :data:`~repro.hardening.HARDENING_FLAGS`
-_HARDENING: Tuple[str, ...] = ()
+#: the shape of a serving machine: the full host tier stack plus the
+#: fast-gate entry path, so repeat (user, gate) calls skip
+#: re-validation and enter compiled traces directly.  Architectural
+#: figures are identical either way.
+SERVING_MACHINE = MachineConfig(
+    services=False, jit_tier_enabled=True, fast_gate=True
+)
 
 #: per-call step cap: generous for any catalog program, small enough
 #: that a runaway variant cannot wedge a worker for long
@@ -119,58 +113,6 @@ RECENT_CALLS = 512
 _LOCAL = threading.local()
 
 
-def configure_machine_profile(profile: str) -> None:
-    """Select the machine profile for engines built in this process.
-
-    Like :func:`configure_durability`, this is process-level state: the
-    thread backend calls it directly, forked workers get it via
-    :func:`_init_worker`.  Restored engines keep the profile of the
-    machine that was snapshotted (``hardware_rings`` is serialized), so
-    recovery is unaffected.
-    """
-    global _MACHINE_PROFILE
-    if profile not in MACHINE_PROFILES:
-        raise ConfigurationError(
-            f"unknown machine profile {profile!r}; expected one of "
-            f"{MACHINE_PROFILES}"
-        )
-    _MACHINE_PROFILE = profile
-
-
-def machine_profile() -> str:
-    """The machine profile engines in this process are built with."""
-    return _MACHINE_PROFILE
-
-
-def hardware_rings_enabled() -> bool:
-    """Whether new engine machines run the ring hardware."""
-    return _MACHINE_PROFILE != "baseline645"
-
-
-def configure_hardening(flags: Tuple[str, ...]) -> None:
-    """Select the hardening extensions for engines built in this process.
-
-    Process-level state like the machine profile: the thread backend
-    calls it directly, forked workers get it via :func:`_init_worker`.
-    Restored engines keep the hardening of the machine that was
-    snapshotted (the config is serialized).
-    """
-    global _HARDENING
-    flags = tuple(flags)
-    for flag in flags:
-        if flag not in HARDENING_FLAGS:
-            raise ConfigurationError(
-                f"unknown hardening flag {flag!r}; expected a subset of "
-                f"{HARDENING_FLAGS}"
-            )
-    _HARDENING = flags
-
-
-def hardening_flags() -> Tuple[str, ...]:
-    """The hardening flags engines in this process are built with."""
-    return _HARDENING
-
-
 class GateCallEngine:
     """One machine plus its call caches and cumulative counters.
 
@@ -181,20 +123,8 @@ class GateCallEngine:
     """
 
     def __init__(self, machine: Optional[Machine] = None):
-        # Serving machines run the full tier stack: the trace-compile
-        # tier plus the fast-gate entry path, so repeat (user, gate)
-        # calls skip re-validation and enter compiled traces directly.
-        # Architectural figures are identical either way.
         self.machine = (
-            machine
-            if machine is not None
-            else Machine(
-                services=False,
-                jit_tier_enabled=True,
-                fast_gate=True,
-                hardware_rings=hardware_rings_enabled(),
-                hardening=HardeningConfig.from_flags(hardening_flags()),
-            )
+            machine if machine is not None else Machine(SERVING_MACHINE)
         )
         self.processes: Dict[str, Any] = {}  # username -> Process
         self.installed: Dict[str, str] = {}  # variant key -> entry ref
@@ -293,6 +223,15 @@ class GateCallEngine:
             "metrics": metrics.as_dict(),
         }
 
+    def shape(self) -> Dict[str, Any]:
+        """The machine shape every result reports, so a client can tell
+        which machine answered it."""
+        config = self.machine.config
+        return {
+            "machine_profile": config.profile,
+            "hardening": list(config.hardening.enabled_flags()),
+        }
+
     def bookkeeping(self) -> Dict[str, Any]:
         """The engine's non-machine state, JSON-shaped for a snapshot."""
         return {
@@ -356,8 +295,6 @@ class DurabilityConfig:
             raise ConfigurationError("fsync_every must be positive")
 
 
-_DURABILITY: Optional[DurabilityConfig] = None
-
 #: slot indices owned by live workers of *this* process.  The claim
 #: files carry only a pid, which cannot tell one thread (or pool
 #: generation) of our own process from another — this set can.
@@ -365,38 +302,21 @@ _LIVE_SLOTS: set = set()
 _LIVE_LOCK = threading.Lock()
 
 
-def configure_durability(config: Optional[DurabilityConfig]) -> None:
-    """Install the durability config for workers created in this process.
-
-    Used directly for the thread backend; forked workers go through
-    :func:`_init_worker`, which also clears forked-in state.
-    """
-    global _DURABILITY
-    _DURABILITY = config
-
-
 def _init_worker(
-    config: Optional[DurabilityConfig],
-    profile: str = "ringed",
-    hardening: Tuple[str, ...] = (),
+    durability: Optional[DurabilityConfig], machine: MachineConfig
 ) -> None:
-    """Forked worker initializer.
+    """Worker initializer, run on the worker's own thread.
 
-    A forked child inherits the parent's module state wholesale —
-    including a worker state the parent built by calling
-    :func:`execute_gate_call` directly (its worker id names the
-    *parent's* pid, its machine carries the parent's history, and it
-    predates any durability config) and the parent's live-slot set.
-    Serving from that inherited state would make every child report
-    under one stale worker key and bypass durability entirely, so drop
-    it: this process builds its own state on first call.
+    The settings are thread-local, like the worker state they shape, so
+    pools sharing a process never see each other's durability or
+    machine shape.  The worker builds its state on its first call; a
+    state inherited from a forked parent (which may have called
+    :func:`execute_gate_call` directly) is dropped, or every child
+    would report under the parent's stale worker key and bypass
+    durability.
     """
     _LOCAL.state = None
-    with _LIVE_LOCK:
-        _LIVE_SLOTS.clear()
-    configure_durability(config)
-    configure_machine_profile(profile)
-    configure_hardening(hardening)
+    _LOCAL.setup = (durability, machine)
 
 
 def release_live_slots() -> None:
@@ -502,36 +422,43 @@ def _bump_generation(slot_dir: str) -> int:
 
 
 class _WorkerState:
-    """One worker's engine plus (optionally) its durability plumbing."""
+    """One worker's engine plus (optionally) its durability plumbing.
 
-    def __init__(self) -> None:
-        config = _DURABILITY
-        self.durability = config
+    ``machine`` is the shape of a fresh worker machine; a durable worker
+    that recovers a slot keeps the shape recorded in the slot.
+    """
+
+    def __init__(
+        self,
+        durability: Optional[DurabilityConfig] = None,
+        machine: MachineConfig = SERVING_MACHINE,
+    ) -> None:
+        self.durability = durability
         self.recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.calls_since_checkpoint = 0
-        if config is None:
-            self.engine = GateCallEngine()
+        if durability is None:
+            self.engine = GateCallEngine(Machine(machine))
             self.worker_id = f"pid{os.getpid()}-t{threading.get_ident()}"
             self.slot: Optional[int] = None
             self.slot_dir = ""
             self.journal: Optional[JournalWriter] = None
             self.generation = 0
             return
-        self.slot, self.slot_dir = _claim_slot(config)
+        self.slot, self.slot_dir = _claim_slot(durability)
         self.worker_id = f"slot{self.slot}"
         self.generation = _bump_generation(self.slot_dir)
-        recovery = recover_slot(self.slot_dir)
+        recovery = recover_slot(self.slot_dir, machine=machine)
         self.engine = recovery.engine
         self.recent = recovery.recent
         self._trim_recent()
         self.journal = JournalWriter(
             os.path.join(self.slot_dir, JOURNAL_NAME),
-            fsync_every=config.fsync_every,
+            fsync_every=durability.fsync_every,
         )
-        if recovery.replayed:
-            # the journal tail beyond the last snapshot was replayed;
-            # fold the recovered state into a fresh checkpoint so the
-            # next crash replays from here instead
+        if recovery.replayed or recovery.snapshot_source == "none":
+            # fold a replayed journal tail into a fresh checkpoint, so
+            # the next crash replays from here; a fresh slot gets its
+            # first checkpoint, which records its shape
             self._checkpoint()
 
     def _trim_recent(self) -> None:
@@ -596,12 +523,7 @@ class _WorkerState:
         out["worker"] = self.worker_id
         out["pid"] = os.getpid()
         out["generation"] = self.generation
-        out["machine_profile"] = (
-            "ringed"
-            if self.engine.machine.processor.hardware_rings
-            else "baseline645"
-        )
-        out["hardening"] = list(self.engine.machine.hardening.enabled_flags())
+        out.update(self.engine.shape())
         if self.slot is not None:
             out["slot"] = self.slot
         out["worker_calls"] = self.engine.calls
@@ -612,9 +534,24 @@ class _WorkerState:
 def _state() -> _WorkerState:
     state = getattr(_LOCAL, "state", None)
     if state is None:
-        state = _WorkerState()
+        state = _WorkerState(*getattr(_LOCAL, "setup", ()))
         _LOCAL.state = state
     return state
+
+
+def _run_worker(
+    sock: socket.socket, initializer: Callable, initargs: Tuple
+) -> None:
+    """Body of a worker on either backend: set up, serve the channel to
+    its end, then close the worker's journal, so a drained worker
+    leaves every journaled call on disk."""
+    initializer(*initargs)
+    try:
+        serve_channel(sock)
+    finally:
+        state = getattr(_LOCAL, "state", None)
+        if state is not None and state.journal is not None:
+            state.journal.close()
 
 
 def worker_ping(token: int) -> Dict[str, Any]:
@@ -728,7 +665,13 @@ def serve_channel(sock: socket.socket) -> None:
 def _channel_main(
     sock: socket.socket, initializer: Callable, initargs: Tuple
 ) -> None:
-    """Body of a forked worker process: one channel, served to EOF."""
+    """Body of a forked worker process: one channel, served to EOF.
+
+    The child forgets the parent's slot claims along with its sockets:
+    its own claims are all it may count as live.
+    """
+    with _LIVE_LOCK:
+        _LIVE_SLOTS.clear()
     for inherited in list(_CHANNEL_SOCKETS):
         if inherited is not sock:
             # detach first: a socket with an open reader is otherwise
@@ -742,8 +685,7 @@ def _channel_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(ValueError):
         signal.set_wakeup_fd(-1)
-    initializer(*initargs)
-    serve_channel(sock)
+    _run_worker(sock, initializer, initargs)
 
 
 class _Channel(asyncio.Protocol):
@@ -808,9 +750,11 @@ class WorkerPool:
     cannot be forked or probed fall back to threads with identical
     results.
     ``durability`` installs per-worker journaling and checkpointing
-    (see :class:`DurabilityConfig`).  ``session`` selects the session
-    layout: worker ``k`` hosts session shard ``k`` of
-    :mod:`repro.serve.sessions`, and calls name their shard's worker.
+    (see :class:`DurabilityConfig`).  ``machine`` is the shape of every
+    worker's machine.  ``session`` selects the session layout: worker
+    ``k`` hosts session shard ``k`` of :mod:`repro.serve.sessions`,
+    calls name their shard's worker, and tenants take their shape from
+    ``session.machine``.
 
     Construct, then ``await start()`` on the event loop that will
     submit calls.  A worker whose channel closes unexpectedly breaks
@@ -824,8 +768,7 @@ class WorkerPool:
         workers: int = 4,
         backend: str = "process",
         durability: Optional[DurabilityConfig] = None,
-        machine_profile: str = "ringed",
-        hardening: Tuple[str, ...] = (),
+        machine: MachineConfig = SERVING_MACHINE,
         session: Optional["SessionConfig"] = None,
     ):
         if workers <= 0:
@@ -835,34 +778,14 @@ class WorkerPool:
                 f"unknown worker backend {backend!r}; expected one of "
                 f"{BACKENDS}"
             )
-        if machine_profile not in MACHINE_PROFILES:
-            raise ConfigurationError(
-                f"unknown machine profile {machine_profile!r}; expected "
-                f"one of {MACHINE_PROFILES}"
-            )
-        hardening = tuple(hardening)
-        for flag in hardening:
-            if flag not in HARDENING_FLAGS:
-                raise ConfigurationError(
-                    f"unknown hardening flag {flag!r}; expected a subset "
-                    f"of {HARDENING_FLAGS}"
-                )
         if durability is not None and durability.slots < workers:
             raise ConfigurationError(
                 "durability needs at least one slot per worker"
             )
-        if session is not None and (
-            durability is not None or machine_profile != "ringed" or hardening
-        ):
-            raise ConfigurationError(
-                "session workers keep their own per-tenant durability and "
-                "run ringed, unhardened machines"
-            )
         self.workers = workers
         self.backend = backend
         self.durability = durability
-        self.machine_profile = machine_profile
-        self.hardening = hardening
+        self.machine = machine.validate()
         self.session = session
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._channels: List[_Channel] = []
@@ -887,20 +810,12 @@ class WorkerPool:
                 OSError, ValueError, BrokenExecutor, asyncio.TimeoutError
             ):
                 self.backend = "thread (process pool unavailable)"
-        if self.session is not None:
-            from .sessions import configure_sessions
-
-            configure_sessions(self.session)
-        else:
-            configure_durability(self.durability)
-            configure_machine_profile(self.machine_profile)
-            configure_hardening(self.hardening)
         ends = []
         for index in range(self.workers):
             ours, theirs = _socketpair()
             thread = threading.Thread(
-                target=serve_channel,
-                args=(theirs,),
+                target=_run_worker,
+                args=(theirs, *self._initializer()),
                 name=f"ringworker{index}",
                 daemon=True,
             )
@@ -928,19 +843,18 @@ class WorkerPool:
             self._closing = False
             raise
 
-    def _fork_workers(self) -> List[socket.socket]:
-        # ValueError where the platform cannot fork
-        context = multiprocessing.get_context("fork")
+    def _initializer(self) -> Tuple[Callable, Tuple]:
+        """What each worker runs on its own thread before serving."""
         if self.session is not None:
             from .sessions import _init_session_worker
 
-            initializer, initargs = _init_session_worker, (self.session,)
-        else:
-            initializer, initargs = _init_worker, (
-                self.durability,
-                self.machine_profile,
-                self.hardening,
-            )
+            return _init_session_worker, (self.session,)
+        return _init_worker, (self.durability, self.machine)
+
+    def _fork_workers(self) -> List[socket.socket]:
+        # ValueError where the platform cannot fork
+        context = multiprocessing.get_context("fork")
+        initializer, initargs = self._initializer()
         ends: List[socket.socket] = []
         try:
             for index in range(self.workers):

@@ -10,60 +10,41 @@
     result = m.run(process, "prog$main", ring=4)
     print(result.console)
 
-Construction knobs map to the paper's design space:
+The machine's shape — hardware rings or the 645's trapped crossings,
+the stack rule, paging, the host tiers, the hardening extensions — is
+one validated :class:`~repro.sim.config.MachineConfig`, kept as
+``machine.config``.  ``Machine(config)`` builds from it, and keyword
+fields override it, so ``Machine(hardware_rings=False)`` and
+``Machine(config, fast_gate=True)`` both work.
 
-``hardware_rings``
-    True builds the paper's new processor; False builds the
-    Honeywell-645 baseline where every ring crossing traps to software.
-``stack_rule``
-    ``"dbr"`` (the footnote's refined stack-segment selection) or
-    ``"simple"`` (stack segno = ring number).
-``paged``
-    activate segments through page tables, demonstrating that paging is
-    transparent to protection.
-``fast_path_enabled``
-    host-side interpreter fast path (validated-translation cache +
-    decoded-instruction cache, see :mod:`repro.cpu.access_cache`);
-    purely an ablation knob — simulated cycle figures are identical
-    either way.
-``block_tier_enabled``
-    the superblock execution tier (:mod:`repro.cpu.blockcache`) layered
-    on the fast path; ``None`` (default) follows ``fast_path_enabled``.
-    Equally invisible to the simulated figures.
-``jit_tier_enabled``
-    the trace-compile tier (:mod:`repro.cpu.jit`) layered on the block
-    tier; ``None`` (default) leaves it off unless the
-    ``REPRO_JIT_PARITY`` backstop requests it.  Equally invisible to
-    the simulated figures.
-``fast_gate``
-    skip the supervisor re-attach in :meth:`Machine.start` when the
-    processor is already pointed at the same process and DBR — the
-    software analogue of the paper's repeat-gate-call hardware path.
-    Host caches (PTLB, icache, superblocks, traces) survive between
-    runs, and so does the paper's SDW associative memory: a repeat
-    call re-validates nothing, so its simulated figures drop by the
-    descriptor fetches the first call paid — the measured form of the
-    paper's claim that hardware rings make repeat protected calls as
-    cheap as ordinary ones.  Off by default: each ``run`` then starts
-    from a fresh attach and figures repeat exactly.
+``fast_gate`` skips the supervisor re-attach in :meth:`Machine.start`
+when the processor is already pointed at the same process and DBR —
+the software analogue of the paper's repeat-gate-call hardware path.
+Host caches (PTLB, icache, superblocks, traces) survive between runs,
+and so does the paper's SDW associative memory: a repeat call
+re-validates nothing, so its simulated figures drop by the descriptor
+fetches the first call paid — the measured form of the paper's claim
+that hardware rings make repeat protected calls as cheap as ordinary
+ones.  Off by default: each ``run`` then starts from a fresh attach
+and figures repeat exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, List, Optional
 
 from ..asm import assemble
 from ..core.acl import AclEntry
-from ..cpu.processor import CostModel, Processor
+from ..cpu.processor import Processor
 from ..cpu.sdwcache import SDWCache
-from ..hardening import HardeningConfig
 from ..krnl.process import Process
 from ..krnl.services import install_services
 from ..krnl.supervisor import Supervisor
 from ..krnl.users import User
 from ..mem.physical import PhysicalMemory
 from ..mem.segment import SegmentImage
+from .config import MachineConfig
 from .metrics import MetricsSnapshot
 
 
@@ -96,39 +77,30 @@ class RunResult:
 class Machine:
     """A complete simulated system."""
 
-    def __init__(
-        self,
-        memory_words: int = 1 << 18,
-        hardware_rings: bool = True,
-        stack_rule: str = "dbr",
-        paged: bool = False,
-        lazy_linking: bool = False,
-        cost: Optional[CostModel] = None,
-        sdw_cache_slots: int = 16,
-        sdw_cache_enabled: bool = True,
-        fast_path_enabled: bool = True,
-        block_tier_enabled: Optional[bool] = None,
-        jit_tier_enabled: Optional[bool] = None,
-        fast_gate: bool = False,
-        services: bool = True,
-        hardening: Optional[HardeningConfig] = None,
-    ):
-        self.fast_gate = fast_gate
-        self.memory = PhysicalMemory(memory_words)
+    def __init__(self, config: Optional[MachineConfig] = None, **fields: Any):
+        #: this machine's validated shape (``replace`` raises TypeError
+        #: for a config that is not a MachineConfig or an unknown field)
+        self.config = config = replace(
+            config or MachineConfig(), **fields
+        ).validate()
+        self.fast_gate = config.fast_gate
+        self.memory = PhysicalMemory(config.memory_words)
         self.supervisor = Supervisor(self.memory)
-        self.supervisor.paged = paged
-        self.supervisor.lazy_linking = lazy_linking
-        self.hardening = hardening or HardeningConfig()
+        self.supervisor.paged = config.paged
+        self.supervisor.lazy_linking = config.lazy_linking
+        self.hardening = config.hardening
         self.processor = Processor(
             self.memory,
-            cost=cost,
-            stack_rule=stack_rule,
-            hardware_rings=hardware_rings,
-            sdw_cache=SDWCache(slots=sdw_cache_slots, enabled=sdw_cache_enabled),
-            fast_path=fast_path_enabled,
-            block_tier=block_tier_enabled,
-            jit_tier=jit_tier_enabled,
-            hardening=self.hardening,
+            cost=config.cost,
+            stack_rule=config.stack_rule,
+            hardware_rings=config.hardware_rings,
+            sdw_cache=SDWCache(
+                slots=config.sdw_cache_slots, enabled=config.sdw_cache_enabled
+            ),
+            fast_path=config.fast_path_enabled,
+            block_tier=config.block_tier_enabled,
+            jit_tier=config.jit_tier_enabled,
+            hardening=config.hardening,
         )
         # ring_domains: the supervisor binds segment numbers to domains
         # as it initiates segments.
@@ -136,18 +108,8 @@ class Machine:
         self.system_user = self.supervisor.users.register(
             "system", administrator=True
         )
-        if services:
+        if config.services:
             install_services(self.fs, self.system_user)
-
-    @classmethod
-    def from_config(cls, config) -> "Machine":
-        """Build a machine from a validated :class:`MachineConfig`."""
-        from .config import MachineConfig
-
-        if not isinstance(config, MachineConfig):
-            raise TypeError(f"expected MachineConfig, got {type(config)!r}")
-        config.validate()
-        return cls(**config.machine_kwargs())
 
     # -- delegates ---------------------------------------------------------
 

@@ -15,6 +15,10 @@ what the journal records.  Recovery therefore has two modes:
   defence: any divergence raises
   :class:`~repro.errors.ReplayDivergenceError`.
 
+Both take the machine's shape from the slot itself: a worker
+checkpoints a fresh slot when it claims it, so every slot it wrote
+holds a snapshot recording the shape.
+
 The replayer drives :class:`~repro.serve.workers.GateCallEngine` — the
 same code path the serving workers use — imported lazily to keep
 :mod:`repro.state` importable without the serving stack.
@@ -28,6 +32,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import ReplayDivergenceError, SnapshotError
+from ..sim.config import MachineConfig
+from ..sim.machine import Machine
 from .journal import read_journal
 from .snapshot import read_snapshot_file
 
@@ -82,8 +88,9 @@ def replay_journal(
 ) -> ReplayReport:
     """Replay journal records with ``seq > start_seq`` through ``engine``.
 
-    Without ``engine`` a fresh :class:`GateCallEngine` is built, which
-    with ``start_seq=0`` replays the slot's entire history.  ``strict``
+    Without ``engine`` a fresh :class:`GateCallEngine` is built on the
+    shape recorded in the newest intact snapshot beside the journal,
+    which with ``start_seq=0`` replays the slot's entire history.  ``strict``
     refuses a torn journal tail instead of dropping it.  ``recent``, if
     given, collects every record's ``call_id`` → journaled result in
     journal order — skipped records too — which is the
@@ -92,7 +99,15 @@ def replay_journal(
     from ..serve.workers import GateCallEngine
 
     if engine is None:
-        engine = GateCallEngine()
+        slot_dir = os.path.dirname(journal_path)
+        snap, _ = _newest_snapshot(slot_dir)
+        if snap is None:
+            raise SnapshotError(
+                f"no intact snapshot in {slot_dir!r}: the slot's machine "
+                "shape is unknown"
+            )
+        machine = MachineConfig.from_dict(snap["config"])
+        engine = GateCallEngine(Machine(machine))
     report = ReplayReport(engine=engine, last_seq=start_seq)
     for record in read_journal(journal_path, strict=strict):
         seq = record["seq"]
@@ -116,14 +131,32 @@ def replay_journal(
     return report
 
 
-def recover_slot(slot_dir: str, verify: bool = False) -> RecoveryResult:
+def _newest_snapshot(slot_dir: str):
+    """The slot's newest intact snapshot and its label, or ``(None,
+    "none")``: ``snapshot.json``, else ``snapshot.json.prev`` (the
+    previous checkpoint survives until the next one replaces it, so a
+    crash mid-checkpoint at worst lengthens the replay)."""
+    path = os.path.join(slot_dir, SNAPSHOT_NAME)
+    for candidate, label in ((path, "current"), (path + ".prev", "prev")):
+        try:
+            return read_snapshot_file(candidate), label
+        except SnapshotError:
+            continue
+    return None, "none"
+
+
+def recover_slot(
+    slot_dir: str,
+    verify: bool = False,
+    machine: Optional[MachineConfig] = None,
+) -> RecoveryResult:
     """Rebuild a worker slot's engine: newest intact snapshot + replay.
 
-    Tries ``snapshot.json`` then ``snapshot.json.prev`` (the previous
-    checkpoint survives until the next one replaces it, so a crash
-    mid-checkpoint at worst lengthens the replay); with neither intact,
-    replays the whole journal from a fresh machine.  A missing journal
-    is an empty one — a brand-new slot recovers to a fresh engine.
+    With no intact snapshot, replays the whole journal on a fresh
+    machine of shape ``machine`` — the caller's, since the slot records
+    none — and raises :class:`~repro.errors.SnapshotError` without one.
+    A missing journal is an empty one: a brand-new slot recovers to a
+    fresh engine.
 
     The duplicate-suppression cache (``recent``) is rebuilt from the
     journal alone, records at or below the snapshot's position
@@ -133,24 +166,18 @@ def recover_slot(slot_dir: str, verify: bool = False) -> RecoveryResult:
     """
     from ..serve.workers import GateCallEngine
 
-    engine = None
-    source = "none"
-    extra: Dict[str, Any] = {}
-    snapshot_path = os.path.join(slot_dir, SNAPSHOT_NAME)
-    for path, label in (
-        (snapshot_path, "current"),
-        (snapshot_path + ".prev", "prev"),
-    ):
-        try:
-            snap = read_snapshot_file(path)
-            engine = GateCallEngine.from_snapshot(snap)
-        except SnapshotError:
-            continue
-        source = label
+    snap, source = _newest_snapshot(slot_dir)
+    if snap is not None:
+        engine = GateCallEngine.from_snapshot(snap)
         extra = snap.get("extra", {})
-        break
-    if engine is None:
-        engine = GateCallEngine()
+    elif machine is not None:
+        engine = GateCallEngine(Machine(machine))
+        extra = {}
+    else:
+        raise SnapshotError(
+            f"no intact snapshot in {slot_dir!r} and no machine shape "
+            "to replay its journal on"
+        )
     snapshot_seq = int(extra.get("last_seq", 0))
     recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
     report = replay_journal(

@@ -6,8 +6,8 @@ simulation semantics depend on:
 ========== ==========================================================
 section    contents
 ========== ==========================================================
-config     the construction knobs (memory size, ring hardware, stack
-           rule, paging, cost model, cache configuration)
+config     the machine's shape,
+           :meth:`~repro.sim.config.MachineConfig.as_dict`
 memory     non-zero physical memory in sparse chunks, plus the
            allocator's free list
 processor  registers, DBR, trap save stack, interval timer, pending
@@ -47,14 +47,14 @@ import json
 import os
 import tempfile
 import zlib
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from ..core.acl import AclEntry, RingBracketSpec
 from ..cpu.faults import Fault, FaultCode
-from ..cpu.processor import CostModel, ProcessorStats
+from ..cpu.processor import ProcessorStats, resolve_tiers
 from ..cpu.registers import IPR, PointerRegister, RegisterFile
 from ..errors import SnapshotError
-from ..hardening import HardeningConfig
 from ..krnl.baseline645 import SoftwareRingAssist
 from ..krnl.callret import ReturnGateRecord, UpwardCallAssist
 from ..krnl.filesystem import SegmentNode, split_path
@@ -66,6 +66,7 @@ from ..mem.descriptor import DBR, DescriptorSegment
 from ..mem.paging import PageTable
 from ..mem.physical import Allocation
 from ..mem.segment import LinkRequest, SegmentImage
+from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 
@@ -297,28 +298,7 @@ def snapshot_machine(
         )
 
     return {
-        "config": {
-            "memory_words": memory.size,
-            "hardware_rings": proc.hardware_rings,
-            "stack_rule": proc.stack_rule,
-            "nrings": proc.nrings,
-            "paged": sup.paged,
-            "lazy_linking": sup.lazy_linking,
-            "sdw_cache_slots": proc.sdw_cache.slots,
-            "sdw_cache_enabled": proc.sdw_cache.enabled,
-            "fast_path_enabled": proc.access_cache.enabled,
-            "block_tier_enabled": proc.block_cache.enabled,
-            "jit_tier_enabled": proc.jit_cache.enabled,
-            "fast_gate": machine.fast_gate,
-            "hardening": proc.hardening.as_dict(),
-            "cost": {
-                "memory_reference": proc.cost.memory_reference,
-                "instruction_base": proc.cost.instruction_base,
-                "trap_overhead": proc.cost.trap_overhead,
-                "ring_crossing_extra": proc.cost.ring_crossing_extra,
-                "auth_mac_cycles": proc.cost.auth_mac_cycles,
-            },
-        },
+        "config": machine.config.as_dict(),
         "memory": {
             "chunks": chunks,
             "holes": [[addr, size] for addr, size in memory._holes],
@@ -424,49 +404,37 @@ def restore_machine(
 ) -> Machine:
     """Rebuild a machine from a snapshot dict.
 
+    The machine's shape is the snapshot's own
+    (:meth:`~repro.sim.config.MachineConfig.from_dict`), except that
     ``fast_path_enabled`` / ``block_tier_enabled`` /
     ``jit_tier_enabled`` / ``fast_gate`` override the host-side
-    execution tiers of the restored machine — the architectural figures
-    are identical for every combination, which the restore-equivalence
-    test pins.  Everything else comes from the snapshot.  Snapshots
-    written before the trace tier existed default its knobs to off.
+    execution tiers — the architectural figures are identical for every
+    combination, which the restore-equivalence test pins.  An inherited
+    trace tier is clamped to the (possibly overridden) block tier.
     """
-    cfg = snap["config"]
-    fast = cfg["fast_path_enabled"] if fast_path_enabled is None else fast_path_enabled
-    block = cfg["block_tier_enabled"] if block_tier_enabled is None else block_tier_enabled
-    if jit_tier_enabled is None:
-        # Inherited from the snapshot: clamp to the (possibly
-        # overridden) block tier — the trace tier records through
-        # superblock dispatch, and the figures are identical anyway.
-        jit = cfg.get("jit_tier_enabled", False) and (
-            block if block is not None else fast
+    overrides = {
+        name: value
+        for name, value in (
+            ("fast_path_enabled", fast_path_enabled),
+            ("block_tier_enabled", block_tier_enabled),
+            ("jit_tier_enabled", jit_tier_enabled),
+            ("fast_gate", fast_gate),
         )
-    else:
-        jit = jit_tier_enabled
-    gate = cfg.get("fast_gate", False) if fast_gate is None else fast_gate
-    # Snapshots written before the hardening extensions existed carry
-    # no section: everything defaults to off.
-    hardening = HardeningConfig.from_dict(cfg.get("hardening", {}))
-    machine = Machine(
-        memory_words=cfg["memory_words"],
-        hardware_rings=cfg["hardware_rings"],
-        stack_rule=cfg["stack_rule"],
-        paged=cfg["paged"],
-        lazy_linking=cfg["lazy_linking"],
-        cost=CostModel(**cfg["cost"]),
-        sdw_cache_slots=cfg["sdw_cache_slots"],
-        sdw_cache_enabled=cfg["sdw_cache_enabled"],
-        fast_path_enabled=fast,
-        block_tier_enabled=block,
-        jit_tier_enabled=jit,
-        fast_gate=gate,
-        services=False,
-        hardening=hardening,
-    )
+        if value is not None
+    }
+    config = replace(MachineConfig.from_dict(snap["config"]), **overrides)
+    if jit_tier_enabled is None and config.jit_tier_enabled:
+        block, _ = resolve_tiers(
+            config.fast_path_enabled, config.block_tier_enabled, None
+        )
+        config = replace(config, jit_tier_enabled=block)
+    # the file system comes from the snapshot, not from a fresh
+    # install of the service segments
+    machine = Machine(config, services=False)
+    machine.config = config
     proc = machine.processor
     sup = machine.supervisor
     memory = machine.memory
-    proc.nrings = cfg["nrings"]
 
     # -- physical memory (words first: everything else points into it) --
     for start_str, block_words in snap["memory"]["chunks"].items():

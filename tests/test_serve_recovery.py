@@ -16,6 +16,9 @@ Two recovery paths are pinned:
 import asyncio
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,9 @@ from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.loadgen import run_load
 from repro.state.recover import JOURNAL_NAME, recover_slot, replay_journal
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def gateway_config(**overrides):
@@ -203,3 +209,42 @@ class TestGatewayRestart:
         recovery = recover_slot(str(slot_dir), verify=True)
         assert recovery.engine.calls == 20
         assert (slot_dir / "generation").read_text().strip() == "2"
+
+    def test_baseline645_slot_replays_verified_on_its_own_shape(
+        self, tmp_path
+    ):
+        """A slot takes its shape with it: a verified replay of a
+        baseline645 slot that never reached a periodic checkpoint runs
+        on the 645 machine, not on a ringed one."""
+        config = gateway_config(
+            workers=1,
+            durability_dir=str(tmp_path),
+            checkpoint_interval=10_000,
+            fsync_every=1,
+            machine_profile="baseline645",
+        )
+
+        async def body(gateway):
+            report = await run_load(
+                "127.0.0.1", gateway.port, sessions=2, calls=3,
+                expect_profile="baseline645",
+            )
+            assert report.check() == []
+
+        run(with_gateway(config, body))
+        (slot_dir,) = slot_dirs(tmp_path)
+        report = replay_journal(str(slot_dir / JOURNAL_NAME), verify=True)
+        assert report.verified == 6
+        assert not report.engine.machine.processor.hardware_rings
+        # a fresh process, as an operator runs it: nothing of the
+        # serving process's state can lend it the shape
+        replayed = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", str(slot_dir),
+             "--verify"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert replayed.returncode == 0, replayed.stderr
+        assert "verified 6 outcome(s)" in replayed.stdout

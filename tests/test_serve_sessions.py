@@ -23,6 +23,8 @@ The properties pinned here are the ones the serving design leans on:
   every host-cache/jit knob combination.
 """
 
+import asyncio
+import json
 import os
 import threading
 
@@ -32,8 +34,11 @@ from repro.serve.sessions import (
     SessionConfig,
     SessionPool,
     SessionStore,
+    TENANT_MACHINE,
     TENANT_MEMORY_WORDS,
 )
+from repro.serve.admission import RingPolicy
+from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.workers import GateCallEngine
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
@@ -390,3 +395,76 @@ class TestPrefetch:
         assert list(pool.live) == ["a", "b"]
         pool.execute(job("c", "c0"))  # evicts the prefetched a, not b
         assert list(pool.live) == ["b", "c"]
+
+
+class TestSessionShape:
+    """Session tenants run the gateway's machine shape and keep it
+    across a park and a hydration."""
+
+    def test_hydrated_tenant_keeps_a_non_default_shape(self, tmp_path):
+        config = GatewayConfig(
+            port=0,
+            workers=1,
+            backend="thread",
+            call_timeout=30.0,
+            drain_timeout=30.0,
+            default_policy=RingPolicy(rate=None, max_pending=64),
+            max_sessions=2,
+            session_store_dir=str(tmp_path / "store"),
+            prefetch_interval=0,
+            machine_profile="baseline645",
+            hardening=("auth_return_stack",),
+        )
+        call = {"verb": "call", "program": "call_loop",
+                "args": {"count": 3, "target_ring": 1}}
+
+        async def main():
+            gateway = RingGateway(config)
+            await gateway.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port
+                )
+
+                async def request(**message):
+                    writer.write(json.dumps(message).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                assert (await request(verb="hello", user="alice", ring=4))[
+                    "ok"
+                ]
+                replies = [await request(**call) for _ in range(2)]
+                assert (await request(verb="park", user="alice"))["parked"]
+                replies.append(await request(**call))
+                stats = await request(verb="stats")
+                writer.close()
+                return replies, stats, gateway._sessions.machine
+            finally:
+                await gateway.stop()
+
+        replies, stats, machine = asyncio.run(main())
+        assert machine.profile == "baseline645"
+        assert replies[2]["session"]["admitted"] == "hydrated"
+
+        # the unparked twin: the same shape, the same calls, and the
+        # park's detach in place of a park
+        twin = GateCallEngine(Machine(machine))
+        job = {"user": "alice", "ring": 4, "program": call["program"],
+               "args": call["args"]}
+        expected = [twin.run_job(job) for _ in range(2)]
+        twin.machine.detach()
+        expected.append(twin.run_job(job))
+        for reply, want in zip(replies, expected):
+            assert reply["result"] == want["payload"]
+            assert reply["metrics"] == MetricsSnapshot.from_dict(
+                want["metrics"]
+            ).architectural()
+
+        # the shape mattered: a default tenant answers differently
+        plain = GateCallEngine(Machine(TENANT_MACHINE)).run_job(job)
+        assert plain["payload"]["cycles"] != replies[2]["result"]["cycles"]
+
+        (worker,) = stats["workers"]["per_worker"].values()
+        assert worker["machine_profile"] == "baseline645"
+        assert worker["hardening"] == ["auth_return_stack"]

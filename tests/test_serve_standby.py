@@ -95,16 +95,14 @@ def journal_architectural_sum(durability_dir):
 
 @pytest.fixture
 def durable_state(tmp_path):
-    workers.configure_durability(
+    state = workers._WorkerState(
         workers.DurabilityConfig(
             dir=str(tmp_path), slots=1, checkpoint_interval=10_000,
             fsync_every=1,
         )
     )
-    state = workers._WorkerState()
     yield state
     workers.release_live_slots()
-    workers.configure_durability(None)
 
 
 class TestStandbyServer:
@@ -207,14 +205,12 @@ class TestPromotionExactness:
         # diverge from any fresh replayer — while the architectural
         # figures must stay bit-identical.
         jobs = make_jobs(40, user="solo")
-        workers.configure_durability(
-            workers.DurabilityConfig(
-                dir=str(tmp_path), slots=1, checkpoint_interval=6,
-                fsync_every=1,
-            )
+        durability = workers.DurabilityConfig(
+            dir=str(tmp_path), slots=1, checkpoint_interval=6,
+            fsync_every=1,
         )
         try:
-            primary = workers._WorkerState()
+            primary = workers._WorkerState(durability)
             slot_dir = primary.slot_dir
             for job in jobs[:30]:
                 assert "error" not in primary.execute(job)
@@ -240,7 +236,7 @@ class TestPromotionExactness:
 
             # the successor claims the slot (generation bump = fence),
             # recovers from the promotion snapshot with an empty tail
-            successor = workers._WorkerState()
+            successor = workers._WorkerState(durability)
             assert successor.slot_dir == slot_dir
             assert successor.generation == primary.generation + 1
             assert successor.engine.calls == 30
@@ -259,7 +255,6 @@ class TestPromotionExactness:
             resumed_calls = successor.engine.calls
         finally:
             workers.release_live_slots()
-            workers.configure_durability(None)
 
         # the no-failure reference: one engine, same 40 calls, no
         # crash, no checkpoints, no replication

@@ -22,9 +22,20 @@ from repro.serve import gateway as gateway_module
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.protocol import ErrorCode
+from repro.hardening import HardeningConfig
 from repro.serve.sessions import SessionPool
-from repro.serve.workers import WorkerError, WorkerPool, execute_gate_call
+from repro.serve.workers import (
+    SERVING_MACHINE,
+    DurabilityConfig,
+    GateCallEngine,
+    WorkerError,
+    WorkerPool,
+    execute_gate_call,
+)
+from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
+from repro.state.journal import read_journal
+from repro.state.recover import JOURNAL_NAME, recover_slot
 
 BACKENDS = ("thread", "process")
 
@@ -289,6 +300,125 @@ class TestDrain:
         assert [future.result()[0] for future in futures] == list(range(6))
         assert len(children) == 2
         assert [child.exitcode for child in children] == [0, 0]
+
+
+def shape_job(index):
+    """A crossing gate call: its cycles tell the two profiles apart."""
+    return {
+        "user": "alice",
+        "ring": 4,
+        "program": "call_loop",
+        "args": {"count": 3, "target_ring": 1},
+        "call_id": f"shape-{index}",
+    }
+
+
+class TestPoolShapes:
+    def test_two_thread_pools_keep_their_own_shapes(self):
+        """Two thread-backend pools in one process: each serves the
+        machine shape it was configured with, before and after the
+        other one starts."""
+        shapes = {
+            "ringed": ({}, {}),
+            "hardened645": (
+                {"machine_profile": "baseline645",
+                 "hardening": ("nx_brackets",)},
+                {"hardware_rings": False,
+                 "hardening": HardeningConfig.from_flags(["nx_brackets"])},
+            ),
+        }
+
+        async def main():
+            gateways = {
+                name: RingGateway(gateway_config(**config))
+                for name, (config, _) in shapes.items()
+            }
+            for gateway in gateways.values():
+                await gateway.start()
+            try:
+                served = {}
+                for name, gateway in gateways.items():
+                    client = await Client.open(gateway.port, "alice")
+                    replies = [
+                        await client.call(count=3, target_ring=1)
+                        for _ in range(2)
+                    ]
+                    stats = await client.request(verb="stats")
+                    await client.close()
+                    served[name] = (replies, stats)
+                return served
+            finally:
+                for gateway in gateways.values():
+                    await gateway.stop()
+
+        served = asyncio.run(main())
+        for name, (_, machine_kw) in shapes.items():
+            reference = GateCallEngine(
+                Machine(
+                    services=False,
+                    jit_tier_enabled=True,
+                    fast_gate=True,
+                    **machine_kw,
+                )
+            )
+            expected = [
+                reference.run_job(shape_job(i))["payload"] for i in range(2)
+            ]
+            replies, stats = served[name]
+            assert [reply["result"] for reply in replies] == expected, name
+            (worker,) = stats["workers"]["per_worker"].values()
+            config = reference.machine.config
+            assert worker["machine_profile"] == config.profile, name
+            assert worker["hardening"] == list(
+                config.hardening.enabled_flags()
+            ), name
+        ringed = served["ringed"][0][0]["result"]["cycles"]
+        trapped = served["hardened645"][0][0]["result"]["cycles"]
+        assert trapped > ringed
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_drain_leaves_every_journaled_call_on_disk(
+        self, backend, tmp_path
+    ):
+        """A graceful drain closes each worker's journal: calls still
+        in its fsync batch reach the disk, and the drained slot
+        replays verified on its own (baseline645) shape."""
+        machine = SERVING_MACHINE.with_profile("baseline645")
+        durability = DurabilityConfig(
+            dir=str(tmp_path), slots=1, fsync_every=8
+        )
+
+        async def main():
+            pool = WorkerPool(
+                workers=1,
+                backend=backend,
+                durability=durability,
+                machine=machine,
+            )
+            await pool.start()
+            if pool.backend != backend:
+                await pool.shutdown()
+                pytest.skip("worker processes unavailable here")
+            results = [
+                await pool.submit(execute_gate_call, shape_job(i))
+                for i in range(3)
+            ]
+            await pool.shutdown(wait=True)
+            return results
+
+        results = asyncio.run(main())
+        slot_dir = tmp_path / "slots" / "slot-0"
+        records = list(read_journal(str(slot_dir / JOURNAL_NAME)))
+        assert len(records) == 3
+        recovery = recover_slot(str(slot_dir), verify=True)
+        assert recovery.replayed == 3
+        assert recovery.engine.machine.config == machine
+        assert [record["result"]["payload"] for record in records] == [
+            result["payload"] for result in results
+        ]
+        assert {result["machine_profile"] for result in results} == {
+            "baseline645"
+        }
 
 
 class TestSessionDrain:

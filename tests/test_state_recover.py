@@ -7,8 +7,14 @@ from zlib import crc32
 import pytest
 
 import repro.serve.workers as workers
-from repro.errors import JournalError, ReplayDivergenceError
-from repro.serve.workers import RECENT_CALLS, DurabilityConfig, _WorkerState
+from repro.errors import JournalError, ReplayDivergenceError, SnapshotError
+from repro.serve.workers import (
+    RECENT_CALLS,
+    SERVING_MACHINE,
+    DurabilityConfig,
+    _WorkerState,
+)
+from repro.sim.config import MachineConfig
 from repro.state.journal import MAGIC, _FRAME, read_journal
 from repro.state.recover import (
     JOURNAL_NAME,
@@ -21,8 +27,8 @@ from repro.state.snapshot import read_snapshot_file, write_snapshot_file
 
 @pytest.fixture
 def durable_worker(tmp_path):
-    """A fresh worker bound to slot 0 under ``tmp_path``; restores the
-    module's durability global afterwards."""
+    """A fresh worker bound to slot 0 under ``tmp_path``; releases its
+    slot claims afterwards."""
 
     def build(checkpoint_interval=4, fsync_every=1):
         config = DurabilityConfig(
@@ -31,11 +37,9 @@ def durable_worker(tmp_path):
             checkpoint_interval=checkpoint_interval,
             fsync_every=fsync_every,
         )
-        workers.configure_durability(config)
-        return _WorkerState()
+        return _WorkerState(config)
 
     yield build
-    workers.configure_durability(None)
     workers.release_live_slots()
 
 
@@ -97,13 +101,30 @@ class TestSlotRecovery:
         assert recovery.replayed == 2
         assert recovery.engine.total == state.engine.total
 
+    def test_claim_checkpoints_a_fresh_slot_with_its_shape(self, tmp_path):
+        machine = SERVING_MACHINE.with_profile("baseline645", ["nx_brackets"])
+        config = DurabilityConfig(dir=str(tmp_path), slots=1)
+        try:
+            state = _WorkerState(config, machine)
+            snap = read_snapshot_file(
+                str(tmp_path / "slots" / "slot-0" / SNAPSHOT_NAME)
+            )
+        finally:
+            workers.release_live_slots()
+        assert snap["extra"]["last_seq"] == 0
+        assert MachineConfig.from_dict(snap["config"]) == machine
+        assert state.engine.machine.config == machine
+
     def test_no_snapshot_replays_everything(self, durable_worker, tmp_path):
-        state = durable_worker(checkpoint_interval=100)  # never checkpoints
+        state = durable_worker(checkpoint_interval=100)  # claim only
         slot_dir = tmp_path / "slots" / "slot-0"
         for i in range(5):
             state.execute(job(i))
         state.journal.sync()
-        recovery = recover_slot(str(slot_dir))
+        (slot_dir / SNAPSHOT_NAME).unlink()  # the claim-time checkpoint
+        with pytest.raises(SnapshotError):
+            recover_slot(str(slot_dir))  # no snapshot, no shape
+        recovery = recover_slot(str(slot_dir), machine=SERVING_MACHINE)
         assert recovery.snapshot_source == "none"
         assert recovery.replayed == 5
         assert recovery.engine.total == state.engine.total

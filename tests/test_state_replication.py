@@ -30,16 +30,14 @@ from repro.state.replication import (
 @pytest.fixture
 def durable_state(tmp_path):
     """A real durable worker on a fresh slot; yields (state, slot_dir)."""
-    workers.configure_durability(
+    state = workers._WorkerState(
         workers.DurabilityConfig(
             dir=str(tmp_path), slots=1, checkpoint_interval=10_000,
             fsync_every=1,
         )
     )
-    state = workers._WorkerState()
     yield state
     workers.release_live_slots()
-    workers.configure_durability(None)
 
 
 def run_jobs(state, jobs):
