@@ -3,8 +3,7 @@
 Unlike every other benchmark in this directory, the figure of interest
 here is *host* instructions per second, not simulated cycles: the
 validated-translation cache (PTLB), the decoded-instruction cache
-(``repro.cpu.access_cache``), the superblock execution tier
-(``repro.cpu.blockcache``) and the trace-compile tier
+(``repro.cpu.access_cache``) and the trace-compile tier
 (``repro.cpu.jit``) elide Python-side SDW unpacking, bracket
 validation, instruction decode, and per-instruction dispatch on the hot
 path, while charging the identical simulated cycles.  The benchmark
@@ -38,13 +37,11 @@ REPS = 5
 #: host-dependent speedup assertions are skipped when this is "0"
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
 
-#: targets: block tier vs. the PR 1 fast path, and vs. everything off
-BLOCK_VS_FAST_TARGET = 1.5
-BLOCK_VS_OFF_TARGET = 4.0
+#: target: the fast path vs. everything off
 FAST_VS_OFF_TARGET = 2.0
 
-#: trace-compile tier vs. the superblock tier (the ISSUE 6 headline)
-JIT_VS_BLOCK_TARGET = 3.0
+#: target: the trace-compile tier vs. the fast path it is built on
+JIT_VS_FAST_TARGET = 20.0
 
 
 def _tier_throughputs(tiers):
@@ -91,7 +88,26 @@ def _assert_neutral(result_a, result_b):
     )
 
 
-def test_h1_block_tier_on(benchmark):
+def test_h1_jit_tier_on(benchmark):
+    machine, process = build_call_loop_machine(
+        target_ring=0, count=COUNT, jit_tier_enabled=True
+    )
+
+    def run():
+        return machine.run(process, "caller$main", ring=4)
+
+    result = benchmark(run)
+    assert result.halted
+    proc = machine.processor
+    benchmark.extra_info["instructions"] = result.instructions
+    benchmark.extra_info["cycles"] = result.cycles
+    benchmark.extra_info["jit_hits"] = proc.jit_cache.stats()["hits"]
+    benchmark.extra_info["jit_instructions"] = proc.jit_cache.stats()[
+        "jit_instructions"
+    ]
+
+
+def test_h1_fast_path_only(benchmark):
     machine, process = build_call_loop_machine(target_ring=0, count=COUNT)
 
     def run():
@@ -104,35 +120,11 @@ def test_h1_block_tier_on(benchmark):
     benchmark.extra_info["cycles"] = result.cycles
     benchmark.extra_info["icache_hits"] = proc.inst_cache.stats()["hits"]
     benchmark.extra_info["ptlb_hits"] = proc.access_cache.stats()["hits"]
-    benchmark.extra_info["block_hits"] = proc.block_cache.stats()["hits"]
-    benchmark.extra_info["block_instructions"] = proc.block_cache.stats()[
-        "block_instructions"
-    ]
-
-
-def test_h1_fast_path_only(benchmark):
-    machine, process = build_call_loop_machine(
-        target_ring=0, count=COUNT, block_tier_enabled=False
-    )
-
-    def run():
-        return machine.run(process, "caller$main", ring=4)
-
-    result = benchmark(run)
-    assert result.halted
-    benchmark.extra_info["instructions"] = result.instructions
-    benchmark.extra_info["cycles"] = result.cycles
-    benchmark.extra_info["icache_hits"] = machine.processor.inst_cache.stats()[
-        "hits"
-    ]
 
 
 def test_h1_fast_path_off(benchmark):
     machine, process = build_call_loop_machine(
-        target_ring=0,
-        count=COUNT,
-        fast_path_enabled=False,
-        block_tier_enabled=False,
+        target_ring=0, count=COUNT, fast_path_enabled=False
     )
 
     def run():
@@ -158,32 +150,24 @@ def test_h1_speedup_vs_disabled(benchmark):
     measured = _tier_throughputs(
         {
             "jit": {"jit_tier_enabled": True},
-            "block": {},
-            "fast": {"block_tier_enabled": False},
-            "off": {"fast_path_enabled": False, "block_tier_enabled": False},
+            "fast": {},
+            "off": {"fast_path_enabled": False},
         }
     )
     ips_jit, result_jit = measured["jit"]
-    ips_block, result_block = measured["block"]
     ips_fast, result_fast = measured["fast"]
     ips_off, result_off = measured["off"]
 
     # Cycle neutrality: the host tiers elide host work only.
-    _assert_neutral(result_block, result_jit)
-    _assert_neutral(result_block, result_fast)
-    _assert_neutral(result_block, result_off)
+    _assert_neutral(result_fast, result_jit)
+    _assert_neutral(result_fast, result_off)
 
-    jit_vs_block = ips_jit / ips_block
-    block_vs_fast = ips_block / ips_fast
-    block_vs_off = ips_block / ips_off
+    jit_vs_fast = ips_jit / ips_fast
     fast_vs_off = ips_fast / ips_off
     benchmark.extra_info["instructions_per_sec_jit"] = round(ips_jit)
-    benchmark.extra_info["instructions_per_sec_block"] = round(ips_block)
     benchmark.extra_info["instructions_per_sec_fast"] = round(ips_fast)
     benchmark.extra_info["instructions_per_sec_slow"] = round(ips_off)
-    benchmark.extra_info["jit_speedup_vs_block"] = round(jit_vs_block, 2)
-    benchmark.extra_info["block_speedup_vs_fast"] = round(block_vs_fast, 2)
-    benchmark.extra_info["block_speedup_vs_disabled"] = round(block_vs_off, 2)
+    benchmark.extra_info["jit_speedup_vs_fast"] = round(jit_vs_fast, 2)
     benchmark.extra_info["speedup_vs_disabled"] = round(fast_vs_off, 2)
 
     if STRICT:
@@ -191,15 +175,7 @@ def test_h1_speedup_vs_disabled(benchmark):
             f"fast path speedup {fast_vs_off:.2f}x below the "
             f"{FAST_VS_OFF_TARGET}x target"
         )
-        assert block_vs_fast >= BLOCK_VS_FAST_TARGET, (
-            f"block tier speedup {block_vs_fast:.2f}x over the fast path, "
-            f"below the {BLOCK_VS_FAST_TARGET}x target"
-        )
-        assert block_vs_off >= BLOCK_VS_OFF_TARGET, (
-            f"block tier speedup {block_vs_off:.2f}x over the seed "
-            f"interpreter, below the {BLOCK_VS_OFF_TARGET}x target"
-        )
-        assert jit_vs_block >= JIT_VS_BLOCK_TARGET, (
-            f"trace tier speedup {jit_vs_block:.2f}x over the block "
-            f"tier, below the {JIT_VS_BLOCK_TARGET}x target"
+        assert jit_vs_fast >= JIT_VS_FAST_TARGET, (
+            f"trace tier speedup {jit_vs_fast:.2f}x over the fast path, "
+            f"below the {JIT_VS_FAST_TARGET}x target"
         )

@@ -7,7 +7,7 @@ Usage::
 
 ``BENCH.json`` is pytest-benchmark's ``--benchmark-json`` output from a
 run of ``bench_host_throughput.py``.  The gate compares the *speedup
-ratios* the benchmark records into ``extra_info`` — block tier vs. fast
+ratios* the benchmark records into ``extra_info`` — trace tier vs. fast
 path vs. everything off — not absolute instructions/sec: ratios divide
 out the host, so one committed baseline works on laptops and CI runners
 alike.  A measured ratio more than ``tolerance`` (default 20%) below

@@ -30,7 +30,6 @@ def build_call_loop_machine(
     sdw_cache_enabled: bool = True,
     paged: bool = False,
     fast_path_enabled: bool = True,
-    block_tier_enabled: bool | None = None,
     jit_tier_enabled: bool | None = None,
     fast_gate: bool = False,
 ):
@@ -43,7 +42,6 @@ def build_call_loop_machine(
         sdw_cache_enabled=sdw_cache_enabled,
         paged=paged,
         fast_path_enabled=fast_path_enabled,
-        block_tier_enabled=block_tier_enabled,
         jit_tier_enabled=jit_tier_enabled,
         fast_gate=fast_gate,
     )

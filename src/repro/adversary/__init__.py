@@ -14,7 +14,7 @@ executable property:
 
 :mod:`repro.adversary.harness`
     runs the corpus through the full execution-tier matrix
-    (interpreter / fast path / superblocks / JIT / fast-gate /
+    (interpreter / fast path / JIT / fast-gate /
     snapshot-restore-resume) and asserts each program faults with the
     expected figure bit-identically in every tier, with all host
     caches hot.

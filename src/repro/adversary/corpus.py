@@ -55,10 +55,9 @@ Generation is deterministic: ``build_attack(family, seed, ring)`` draws
 every free parameter (victim brackets, poison rings, warmup length,
 secret values) from ``random.Random(f"{family}:{seed}")``, so a corpus
 entry is reproducible from the three values a CI log prints.  Every
-program begins with a seeded warmup loop long enough to push its hot
-block through the superblock and trace-compile tiers before the
+program begins with a seeded warmup loop that runs before the
 violating instruction executes — the point is to attack the machine
-with every host cache hot.
+with its host caches warm.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ MAX_ATTACK_RING = 5
 #: default corpus seed — the paper's year
 DEFAULT_SEED = 1971
 
-#: attacker warmup-loop bounds: long enough that the warmup block is
-#: dispatched past the superblock and trace-tier hot thresholds, short
+#: attacker warmup-loop bounds: long enough to warm the host caches
+#: (and, from ``jit.COLD_THRESHOLD`` iterations, compile the loop), short
 #: enough that a corpus sweep stays fast
 MIN_WARMUP = 24
 MAX_WARMUP = 96

@@ -1,7 +1,7 @@
 """Fault-oracle harness: attack every execution tier, expect the fault.
 
 The repo's exactness contract says every host-side tier — interpreter,
-fast path, superblocks, compiled traces, fast-gate entry, and a
+fast path, compiled traces, fast-gate entry, and a
 snapshot/restore hop — reproduces the interpreter's architectural
 figures bit-for-bit.  This harness extends the contract into negative
 space: a hostile program must *fault*, with the same fault code, the
@@ -9,7 +9,7 @@ same validation ring, the same target segment, the same fault word,
 and bit-identical architectural counters, no matter which tier was
 executing when the violating reference was made.  The corpus programs
 carry seeded warmup loops so the violating instruction hits with the
-superblock and trace caches already hot — the attack lands on the
+fast-path and trace caches already hot — the attack lands on the
 optimized path, not the cold interpreter.
 
 ``run_entry`` executes one corpus program under one tier configuration
@@ -39,27 +39,18 @@ from .corpus import DEFAULT_SEED, AttackProgram, generate_corpus
 TIER_CONFIGS: Dict[str, Dict[str, Any]] = {
     "interp": {
         "fast_path_enabled": False,
-        "block_tier_enabled": False,
         "jit_tier_enabled": False,
     },
     "fast_path": {
         "fast_path_enabled": True,
-        "block_tier_enabled": False,
-        "jit_tier_enabled": False,
-    },
-    "block": {
-        "fast_path_enabled": True,
-        "block_tier_enabled": True,
         "jit_tier_enabled": False,
     },
     "jit": {
         "fast_path_enabled": True,
-        "block_tier_enabled": True,
         "jit_tier_enabled": True,
     },
     "fast_gate": {
         "fast_path_enabled": True,
-        "block_tier_enabled": True,
         "jit_tier_enabled": True,
         "fast_gate": True,
     },
@@ -67,7 +58,6 @@ TIER_CONFIGS: Dict[str, Dict[str, Any]] = {
     # fault — the durability hop must not perturb the verdict either
     "restore": {
         "fast_path_enabled": True,
-        "block_tier_enabled": True,
         "jit_tier_enabled": True,
     },
 }

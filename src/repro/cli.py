@@ -40,8 +40,8 @@ Subcommands, all runnable as ``python -m repro <cmd>``:
     human-readably or as JSON.
 ``adversary run``
     Sweep the seeded ring-violation attack corpus across the
-    execution-tier matrix (interpreter, fast path, block, JIT, fast
-    gate, snapshot-restore) asserting every attack faults with the
+    execution-tier matrix (interpreter, fast path, JIT, fast gate,
+    snapshot-restore) asserting every attack faults with the
     expected code, bit-identically on every tier.
 ``adversary dump``
     List the generated attack corpus — or, with ``--json``, emit the
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-json",
         metavar="FILE",
         help="dump the full metrics snapshot (cycles, faults, PTLB/icache/"
-        "block-tier hit rates, ...) as JSON to FILE ('-' for stdout) "
+        "trace-tier hit rates, ...) as JSON to FILE ('-' for stdout) "
         "instead of the plain-text counters",
     )
     run.set_defaults(func=_cmd_run)
@@ -976,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME",
         help="restrict to one execution tier (repeatable; default: "
-        "interp, fast_path, block, jit, fast_gate, restore)",
+        "interp, fast_path, jit, fast_gate, restore)",
     )
     adv_run.add_argument(
         "--baseline645",

@@ -1,17 +1,17 @@
-"""The trace-compile tier: hot superblock paths as specialized closures.
+"""The trace-compile tier: hot interpreted paths as specialized closures.
 
-The superblock tier (:mod:`repro.cpu.blockcache`) validates once per
-``(segno, ring)`` per entry and runs pre-resolved handlers in a tight
-loop, but it still pays, per instruction, a tuple unpack, a handler
-call, a scratch-TPR rebuild, and — inside the handler — the PTLB probe
-and counter mirror of :meth:`Processor.validate_access`.  The same
-argument that justified the block tier applies one more time: along a
-*recorded* hot path every one of those per-instruction decisions has a
-known answer, so fold them into the code itself.
+The fast path (:mod:`repro.cpu.access_cache`) makes each *individual*
+instruction cheap to re-execute, but the interpreter still pays, per
+instruction, a ``step()`` frame, a PTLB probe and counter mirror in
+:meth:`Processor.validate_access`, a charged word read, a decoded-cache
+probe, and a handler call.  Along a *recorded* hot path every one of
+those per-instruction decisions has a known answer, so fold them into
+the code itself.
 
 A **compiled trace** is a Python closure generated (source text →
 ``compile``/``exec``) from one concretely observed instruction path
-starting at a hot block-dispatch head:
+starting at a hot trace head (see :meth:`Processor.run` for where heads
+are counted):
 
 * operand decode and effective-address formation are constant-folded
   against the recorded instruction words and the validated
@@ -37,13 +37,14 @@ starting at a hot block-dispatch head:
 it can prove, before executing it, that per-step execution would have
 completed it with the recorded outcome; otherwise it exits *before* the
 instruction with the batch counters of the completed prefix, and the
-dispatcher re-executes it on the slower tiers — so a trace can never
-fault, and fault attribution stays pinned to the per-step interpreter.
+interpreter re-executes it per step — so a trace can never fault, and
+fault attribution stays pinned to the per-step interpreter.
 Concretely:
 
 * entry guards re-check, by identity, every PTLB translation and every
   SDW the compilation folded, and compare every covered code word
-  against memory (the block tier's word-compare backstop);
+  against memory (the word-compare backstop of the decoded-instruction
+  cache, hoisted to entry);
 * data-dependent branches and folded indirect words and pointer
   registers are guarded inline, every iteration;
 * the trace length is bounded by ``min(budget, timer - 1, soonest
@@ -52,17 +53,17 @@ Concretely:
 * stores go through :meth:`Processor.write_word` (keeping the charge
   and the precise-invalidation fan-out), and the trace checks its own
   ``valid`` flag after each store so self-modifying code stops it after
-  the current instruction, exactly like a superblock.
+  the current instruction.
 
 Mid-trace coherence needs no further checks because a trace performs no
 SDW fetches (everything is folded) and the host is single-threaded: the
 only mutation vectors inside a trace are its own stores, and those are
 covered by the ``valid`` flip.  Wholesale invalidations (DBR loads,
 ``invalidate_sdw``) and SDW-cache evictions fan out to this cache from
-the processor exactly as they do to the block cache.
+the processor exactly as they do to the fast-path caches.
 
 **Parity backstop.**  With ``REPRO_JIT_PARITY=1`` in the environment the
-tier turns on wherever the block tier is on and every trace execution is
+tier turns on wherever the fast path is on and every trace execution is
 co-executed against the reference interpreter: run the trace with a
 write-logging store hook, rewind (registers, counters, logged words),
 replay the same number of instructions through :meth:`Processor.step`,
@@ -79,7 +80,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.effective import effective_ring_after_indirect
 from ..core.gates import decide_call, decide_return
-from ..errors import MachineHalted
 from ..formats.indirect import unpack_raw
 from ..formats.instruction import Instruction
 from ..words import HALF_MASK, WORD_MASK
@@ -95,22 +95,22 @@ MAX_TRACE_LEN = 64
 #: Shortest non-cyclic path worth compiling (cyclic paths always are).
 MIN_LINEAR_LEN = 4
 
-#: Dispatches of a trace-less head before recording starts there.
+#: Visits to a trace-less head before recording starts there.
 HOT_THRESHOLD = 4
 
-#: Superblock budget clamp while a dispatch head is warming toward a
-#: trace.  Block chains otherwise consume the whole run budget in one
-#: dispatch, so a hot head would never re-dispatch and never record;
-#: the clamp hands control back every chunk, letting the block tier
-#: run (and count) while the head accrues dispatches.
-WARMUP_CHUNK = 256
+#: The same, in a run that starts on a just-flushed cache: a process
+#: re-attached after another one ran (a DBR switch drops every trace)
+#: compiles only a loop that runs long enough to repay ``compile()``,
+#: ~0.35 ms for a call_loop trace on the 2-vCPU host, about as long as
+#: a hundred interpreted instructions.
+COLD_THRESHOLD = 32
 
 #: Hotness-counter floor marking a head given up on for good.
 GIVEN_UP = -(1 << 30)
 
-#: Extra dispatches required to re-record after an invalidation or a
-#: failed recording — ``compile()`` is far more expensive than a block
-#: decode, so churn is backed off harder than the block tier's.
+#: Extra visits required to re-record after an invalidation or a
+#: failed recording — ``compile()`` is expensive, so churn is backed
+#: off hard.
 REBUILD_BACKOFF = 16
 
 #: Permanently give up on a head after this many failed compilations.
@@ -192,7 +192,7 @@ def _classify(proc, inst, op) -> Optional[int]:
     """The step kind for a supportable instruction, else None.
 
     Anything this returns None for ends the recording *before* the
-    instruction: the trace simply stops there and the slower tiers run
+    instruction: the trace simply stops there and the interpreter runs
     the remainder, so refusing an instruction is always safe.
     """
     if op is None or op.privileged or op is Op.HALT:
@@ -225,19 +225,25 @@ def _record(proc, budget: int):
 
     Execution *is* the ordinary interpreter — the log is pure host-side
     observation, so the recorded instructions are charged and counted
-    exactly.  Returns ``(steps, cyclic, consumed, halted)``; ``steps``
-    is None when the path cannot be compiled (a fault or tick landed
-    mid-path, so the log does not describe straight-line execution).
+    exactly.  The path ends before the head of another installed trace,
+    which then takes over.  Returns ``(steps, cyclic, consumed)``;
+    ``steps`` is None when the path cannot be compiled (a fault or tick
+    landed mid-path, so the log does not describe straight-line
+    execution).  A HALT propagates as
+    :class:`~repro.errors.MachineHalted`.
     """
     regs = proc.registers
     ipr = regs.ipr
     head = (ipr.ring, ipr.segno, ipr.wordno)
+    traces = proc.jit_cache._traces
     faults_before = proc.stats.faults
     steps: List[_Step] = []
     consumed = 0
     limit = min(MAX_TRACE_LEN, budget)
     while consumed < limit:
         ring, segno, wordno = ipr.ring, ipr.segno, ipr.wordno
+        if consumed and (segno, wordno, ring) in traces:
+            break
         sdw = proc.sdw_cache._entries.get(segno)
         if sdw is None or sdw.paged or wordno >= sdw.bound:
             break
@@ -260,18 +266,15 @@ def _record(proc, budget: int):
         if inst.prflag:
             pr = regs.prs[inst.prnum]
             step.pr = (pr.segno, pr.wordno, pr.ring)
-        try:
-            proc.step()
-        except MachineHalted:
-            return None, False, consumed + 1, True
+        proc.step()
         consumed += 1
         if proc.stats.faults != faults_before:
-            return None, False, consumed, False
+            return None, False, consumed
         step.post = (ipr.ring, ipr.segno, ipr.wordno)
         steps.append(step)
         if step.post == head:
-            return steps, True, consumed, False
-    return steps, False, consumed, False
+            return steps, True, consumed
+    return steps, False, consumed
 
 
 def _taken(op: Op, a: int) -> bool:
@@ -297,13 +300,18 @@ class _Abort(Exception):
 class CompiledTrace:
     """One compiled path: the closure plus its invalidation footprint."""
 
-    __slots__ = ("key", "fn", "length", "cyclic", "valid", "words", "source")
+    __slots__ = (
+        "key", "fn", "length", "cyclic", "closing", "valid", "words", "source",
+    )
 
-    def __init__(self, key, fn, length, cyclic, words, source):
+    def __init__(self, key, fn, length, cyclic, closing, words, source):
         self.key = key  # (segno, wordno, ring)
         self.fn = fn  # fn(proc, budget, write_word) -> steps consumed
         self.length = length
         self.cyclic = cyclic
+        #: (segno, wordno, ring) of a cyclic trace's loop-closing branch,
+        #: where it exits when the loop ends; None for a linear trace
+        self.closing = closing
         self.valid = True
         #: segno -> set of covered code wordnos (precise invalidation)
         self.words: Dict[int, set] = words
@@ -318,7 +326,7 @@ def _finish(proc, regs, acc, qreg, it, ex, itc):
     ``(n, cycles, reads, sdw_hits, ptlb_hits, calls, returns,
     crossings)`` with the exit's IPR target appended to ``ex``.  This
     mirrors, in one batch, exactly the updates per-step execution would
-    have made — the same contract as the block tier's exit flush.
+    have made.
     """
     n = it * itc[0] + ex[0]
     proc.cycles += it * itc[1] + ex[1]
@@ -593,7 +601,7 @@ class _Compiler:
 
         The store keeps the per-word invalidation fan-out; if it landed
         in this very trace the ``valid`` flip exits after the current
-        instruction — the block tier's self-modification rule.
+        instruction.
         """
         self.uses_ww = True
         self.body.append(f"ww({sname}, {segno}, {wordno_expr}, {value_expr})")
@@ -784,9 +792,11 @@ class _Compiler:
         words = {
             segno: set(per_seg) for segno, per_seg in self.code_words.items()
         }
+        last = self.steps[-1]
+        closing = (last.segno, last.wordno, last.ring) if self.cyclic else None
         trace = CompiledTrace(
             self.key, namespace["_trace"], len(self.steps), self.cyclic,
-            words, source,
+            closing, words, source,
         )
         namespace["TR"] = trace
         return trace
@@ -909,8 +919,7 @@ def _compile(proc, key, steps, cyclic) -> Optional[CompiledTrace]:
 class TraceCache:
     """Compiled traces keyed by ``(segno, wordno, ring)``.
 
-    Mirrors the :class:`~repro.cpu.blockcache.SuperblockCache` shape:
-    hotness counters decide when to record, precise invalidation drops
+    Hotness counters decide when to record, precise invalidation drops
     traces covering a written code word, and DBR switches flush
     everything.  ``parity`` co-executes every trace against the
     per-step interpreter (see the module docstring).
@@ -930,11 +939,15 @@ class TraceCache:
         self.compiled = 0
         #: instructions retired inside compiled traces (host diagnostic)
         self.instructions = 0
+        #: set by a wholesale flush; read and cleared when a run starts
+        self.flushed = False
 
     # -- dispatch ------------------------------------------------------------
 
-    def note_dispatch(self, key: tuple) -> bool:
-        """Count one trace-less dispatch; True when the head is hot.
+    def note_dispatch(
+        self, key: tuple, threshold: int = HOT_THRESHOLD
+    ) -> bool:
+        """Count one visit to a trace-less head; True when it is hot.
 
         Backoff states (negative counts) delay re-recording after an
         invalidation or a failed compilation.
@@ -943,24 +956,18 @@ class TraceCache:
             self._hot.clear()
         count = self._hot.get(key, 0) + 1
         self._hot[key] = count
-        return count >= HOT_THRESHOLD
+        return count >= threshold
 
-    def warming(self, key: tuple) -> bool:
-        """Could this head still become a trace?  (Clamp signal.)"""
-        return self._hot.get(key, 0) > GIVEN_UP
-
-    def record_and_compile(self, proc, budget: int):
+    def record_and_compile(self, proc, budget: int) -> int:
         """Record the path at the current IPR and install its trace.
 
-        Returns ``(consumed, halted)`` — the recording steps through
-        the ordinary interpreter, so the instructions it covers are
+        Returns the steps consumed — the recording steps through the
+        ordinary interpreter, so the instructions it covers are
         executed (and charged) exactly regardless of the outcome.
         """
         ipr = proc.registers.ipr
         key = (ipr.segno, ipr.wordno, ipr.ring)
-        steps, cyclic, consumed, halted = _record(proc, budget)
-        if halted:
-            return consumed, True
+        steps, cyclic, consumed = _record(proc, budget)
         trace = None
         if steps and (cyclic or len(steps) >= MIN_LINEAR_LEN):
             trace = _compile(proc, key, steps, cyclic)
@@ -974,7 +981,7 @@ class TraceCache:
             )
         else:
             self.install(trace)
-        return consumed, False
+        return consumed
 
     def execute(self, proc, trace: CompiledTrace, budget: int) -> int:
         """Run one trace (optionally under the parity backstop)."""
@@ -1017,8 +1024,8 @@ class TraceCache:
         after_replay = _capture(proc)
         if after_trace != after_replay:
             # Decoded-icache counters are host diagnostics outside the
-            # exactness contract: the trace mirrors the block tier's
-            # every-fetch-hits convention, while the per-step reference
+            # exactness contract: the trace mirrors an every-fetch-hits
+            # convention, while the per-step reference
             # consults real cache content — a store to a trace's own
             # code word (self-modifying loop) leaves the entry cold at
             # the next fetch and the two legitimately disagree.  All
@@ -1108,6 +1115,7 @@ class TraceCache:
         """Drop a segment's traces, or everything when ``segno`` is None."""
         self.invalidations += 1
         if segno is None:
+            self.flushed = True
             for trace in self._traces.values():
                 trace.valid = False
             self._traces.clear()
@@ -1158,7 +1166,7 @@ _CAPTURE_FIELDS = (
 
 #: Capture fields outside the exactness contract (see
 #: :meth:`TraceCache._execute_parity`): decoded-icache counters follow
-#: the block tier's mirroring convention, not real cache content.
+#: the trace's every-fetch-hits mirror, not real cache content.
 _DIAGNOSTIC_FIELDS = frozenset(
     {"inst_cache.hits", "inst_cache.misses", "inst_cache.invalidations"}
 )

@@ -36,7 +36,6 @@ from ..formats.sdw import SDW, SDW_WORDS
 from ..mem.descriptor import DBR
 from ..mem.paging import PageFaultSignal, translate_paged
 from ..mem.physical import PhysicalMemory
-from ..words import HALF_MASK
 from . import operations
 from .access_cache import (
     DecodedInstructionCache,
@@ -46,16 +45,9 @@ from .access_cache import (
     ValidatedTranslationCache,
 )
 from .address import form_effective_address
-from .blockcache import (
-    K_CALL,
-    K_SIMPLE,
-    K_XFER,
-    SuperblockCache,
-    build_superblock,
-)
 from .faults import Fault, FaultCode
 from .isa import BY_NUMBER, Op
-from .jit import WARMUP_CHUNK as JIT_WARMUP_CHUNK, TraceCache, parity_requested
+from .jit import COLD_THRESHOLD, HOT_THRESHOLD, TraceCache, parity_requested
 from .registers import RegisterFile, STACK_PTR_PR, TPR
 from .sdwcache import SDWCache
 from .validate import validate_fetch, validate_read, validate_write
@@ -102,30 +94,21 @@ class CostModel:
     auth_mac_cycles: int = 1
 
 
-def resolve_tiers(
-    fast_path: bool, block_tier: Optional[bool], jit_tier: Optional[bool]
-) -> Tuple[bool, bool]:
-    """The (block, trace) host tiers a processor with these knobs runs.
+def resolve_tiers(fast_path: bool, jit_tier: Optional[bool]) -> bool:
+    """Whether a processor with these knobs runs the trace tier.
 
-    Each tier is built on the one below it.  ``None`` follows the tier
-    below; the trace tier stays off unless ``REPRO_JIT_PARITY`` asks
-    for it wherever the block tier runs.  Enabling a tier whose
-    foundation is off is a contradiction, not a preference.
+    The trace tier is built on the fast path.  ``None`` leaves it off
+    unless ``REPRO_JIT_PARITY`` asks for it wherever the fast path
+    runs.  Enabling it with the fast path off is a contradiction, not a
+    preference.
     """
-    block = fast_path if block_tier is None else block_tier
-    if block and not fast_path:
+    jit = (parity_requested() and fast_path) if jit_tier is None else jit_tier
+    if jit and not fast_path:
         raise ConfigurationError(
-            "block_tier_enabled=True requires fast_path_enabled=True: "
-            "the superblock tier rides the fast-path PTLB"
+            "jit_tier_enabled=True requires fast_path_enabled=True: "
+            "compiled traces fold the fast-path PTLB's validations"
         )
-    jit = (parity_requested() and block) if jit_tier is None else jit_tier
-    if jit and not block:
-        raise ConfigurationError(
-            "jit_tier_enabled=True requires the superblock tier: the "
-            "trace tier records through superblock dispatch, which "
-            "rides the fast-path PTLB"
-        )
-    return block, jit
+    return jit
 
 
 @dataclass
@@ -165,7 +148,6 @@ class Processor:
         hardware_rings: bool = True,
         nrings: int = 8,
         fast_path: bool = True,
-        block_tier: Optional[bool] = None,
         jit_tier: Optional[bool] = None,
         hardening: Optional[HardeningConfig] = None,
     ):
@@ -173,9 +155,9 @@ class Processor:
             raise ConfigurationError(f"unknown stack rule {stack_rule!r}")
         if not 2 <= nrings <= 8:
             raise ConfigurationError(f"nrings must be in [2, 8], got {nrings}")
-        block_tier, jit_tier = resolve_tiers(fast_path, block_tier, jit_tier)
+        jit_tier = resolve_tiers(fast_path, jit_tier)
         # REPRO_JIT_PARITY=1 is the parity-backstop mode: the trace tier
-        # runs wherever the block tier does (resolve_tiers), and every
+        # runs wherever the fast path does (resolve_tiers), and every
         # trace is co-executed against the per-step interpreter.
         parity = parity_requested()
         self.memory = memory
@@ -186,18 +168,14 @@ class Processor:
         #: accounting is identical with these on or off
         self.access_cache = ValidatedTranslationCache(enabled=fast_path)
         self.inst_cache = DecodedInstructionCache(enabled=fast_path)
-        #: superblock execution tier (see repro.cpu.blockcache): also
-        #: architecturally invisible, also an ablation knob
-        self.block_cache = SuperblockCache(enabled=block_tier)
         #: trace-compile execution tier (see repro.cpu.jit): compiled
-        #: traces above the superblocks, architecturally invisible
+        #: traces above the fast path, architecturally invisible
         self.jit_cache = TraceCache(enabled=jit_tier, parity=parity)
-        if block_tier:
-            # An SDW capacity eviction must stop any mid-flight block
-            # or compiled trace of the victim segment: per-step
-            # execution would pay (and charge) an SDW refetch at its
-            # next instruction fetch.
-            self.sdw_cache.on_evict = self._on_sdw_evict
+        if jit_tier:
+            # An SDW capacity eviction must drop every compiled trace of
+            # the victim segment: per-step execution would pay (and
+            # charge) an SDW refetch at its next instruction fetch.
+            self.sdw_cache.on_evict = self.jit_cache.pause_segment
         self.stack_rule = stack_rule
         self.hardware_rings = hardware_rings
         self.nrings = nrings
@@ -223,9 +201,6 @@ class Processor:
         #: snapshots pushed by trap delivery, popped by RCU
         self._save_stack: List[RegisterFile] = []
         self.halted = False
-        #: scratch TPR the block executor's in-line EA formation reuses
-        #: (handlers copy its fields and never retain the object)
-        self._block_tpr = TPR()
         #: interval timer: instructions until a TIMER fault (None = off)
         self.timer: Optional[int] = None
         #: pending asynchronous events: [countdown, code, detail]
@@ -244,8 +219,8 @@ class Processor:
 
         Covers every counter a benchmark can read: the clock, the
         processor stats, memory traffic, and the hit/miss/invalidation
-        statistics of the SDW associative memory and both fast-path
-        tiers — otherwise warm-up runs pollute the measured figures.
+        statistics of the SDW associative memory and every host
+        tier — otherwise warm-up runs pollute the measured figures.
         Cache *contents* survive, exactly like real hardware across a
         counter reset.
         """
@@ -255,14 +230,7 @@ class Processor:
         self.sdw_cache.reset_stats()
         self.access_cache.reset_stats()
         self.inst_cache.reset_stats()
-        self.block_cache.reset_stats()
         self.jit_cache.reset_stats()
-
-    def _on_sdw_evict(self, segno: int) -> None:
-        """SDW capacity eviction: stop both upper execution tiers."""
-        self.block_cache.pause_segment(segno)
-        if self.jit_cache.enabled:
-            self.jit_cache.pause_segment(segno)
 
     def drop_host_caches(self) -> None:
         """Empty every host-side cache; counters and SDWs survive.
@@ -275,7 +243,6 @@ class Processor:
         """
         self.access_cache.invalidate()
         self.inst_cache.invalidate()
-        self.block_cache.invalidate()
         if self.jit_cache.enabled:
             self.jit_cache.invalidate()
 
@@ -445,14 +412,12 @@ class Processor:
         addr = self.translate(sdw, segno, wordno)
         self.charge(self.cost.memory_reference)
         self.memory.write(addr, value)
-        # Self-modifying code: drop the decoded entry and any superblock
-        # covering the written word (writes the processor cannot see are
-        # caught by the word-compare backstops on the next fetch or
-        # block entry).
+        # Self-modifying code: drop the decoded entry and any compiled
+        # trace covering the written word (writes the processor cannot
+        # see are caught by the word-compare backstops on the next fetch
+        # or trace entry).
         if self.inst_cache.enabled:
             self.inst_cache.invalidate_word(segno, wordno)
-        if self.block_cache.enabled:
-            self.block_cache.invalidate_word(segno, wordno)
         if self.jit_cache.enabled:
             self.jit_cache.invalidate_word(segno, wordno)
 
@@ -643,340 +608,67 @@ class Processor:
 
         Raises :class:`~repro.errors.ConfigurationError` if the step
         budget is exhausted (runaway program) and propagates unhandled
-        faults when no supervisor is installed.  With the superblock
-        tier enabled the loop dispatches through discovered blocks; the
-        simulated figures are bit-identical either way.
+        faults when no supervisor is installed.  With the trace tier
+        enabled each iteration runs the compiled trace installed at the
+        current ``(segno, wordno, ring)``, records one at a hot trace
+        head, or falls back to one :meth:`step`; the simulated figures
+        are bit-identical either way.  Tracing keeps every instruction
+        on :meth:`step` so the per-step hook fires for each.
+
+        Trace heads are counted in three places only: the run's first
+        address, the target of a backward transfer within one segment
+        and ring (a loop head), and the address a trace exits at —
+        except a loop trace's closing branch, where it exits when the
+        loop ends: the code after a loop runs once per loop, and is
+        often just a return.  Counting every interpreted address would
+        record a fresh trace at each of them in turn on a cold machine.
+        A run that starts on a just-flushed trace cache needs
+        ``COLD_THRESHOLD`` visits to a head instead of ``HOT_THRESHOLD``.
         """
         self.halted = False
-        if self.block_cache.enabled:
-            return self._run_blocks(max_steps)
-        for _ in range(max_steps):
-            try:
-                self.step()
-            except MachineHalted:
-                self.halted = True
-                return self.stats.instructions
-        self._runaway(max_steps)
-
-    def _runaway(self, max_steps: int) -> None:
-        raise ConfigurationError(
-            f"program did not halt within {max_steps} steps "
-            f"(at ring {self.registers.ipr.ring}, segment "
-            f"{self.registers.ipr.segno}, word {self.registers.ipr.wordno})"
-        )
-
-    # ------------------------------------------------------------------
-    # superblock execution tier (see repro.cpu.blockcache)
-    # ------------------------------------------------------------------
-
-    def _run_blocks(self, max_steps: int) -> int:
-        """The block-dispatch run loop.
-
-        Each iteration either executes one superblock (consuming as many
-        step slots as instructions attempted), builds a block at a hot
-        address (free: pure host work), or falls back to one
-        :meth:`step`.  Tracing disables block dispatch so the per-step
-        hook fires for every instruction.
-        """
-        blocks = self.block_cache
-        table = blocks._blocks
         jit = self.jit_cache
         jit_on = jit.enabled
+        threshold = COLD_THRESHOLD if jit.flushed else HOT_THRESHOLD
+        jit.flushed = False
         traces = jit._traces
         ipr = self.registers.ipr
         remaining = max_steps
-        while remaining > 0:
-            if self.trace_hook is None:
-                segno = ipr.segno
-                wordno = ipr.wordno
-                seg = table.get(segno)
-                block_budget = remaining
-                if jit_on:
-                    # The trace tier dispatches above the blocks: a
-                    # compiled trace at this (segno, wordno, ring) runs
-                    # first; a hot trace-less head records one (the
-                    # recording itself single-steps, so it is exact).
-                    # While a head is still warming toward a trace the
-                    # superblock budget below is clamped — block chains
-                    # would otherwise swallow the whole run in a single
-                    # dispatch and the head could never get hot.  The
-                    # clamp also keeps the block tier executing (and
-                    # its diagnostic counters meaningful) before the
-                    # first trace records.
-                    tkey = (segno, wordno, ipr.ring)
-                    trace = traces.get(tkey)
-                    if trace is not None:
-                        consumed = jit.execute(self, trace, remaining)
-                        if consumed:
-                            remaining -= consumed
-                            continue
-                    elif jit.note_dispatch(tkey):
-                        consumed, halted = jit.record_and_compile(
-                            self, remaining
-                        )
-                        if halted:
-                            self.halted = True
-                            return self.stats.instructions
-                        if consumed:
-                            remaining -= consumed
-                            continue
-                    elif jit.warming(tkey):
-                        block_budget = min(remaining, JIT_WARMUP_CHUNK)
-                block = None if seg is None else seg.get(wordno)
-                if block is None:
-                    if blocks.note_dispatch(segno, wordno) and self._build_block(
-                        segno, wordno
-                    ):
-                        continue
-                elif block.entries:
-                    consumed = self._enter_block(block, block_budget)
+        head = True
+        try:
+            while remaining > 0:
+                if not jit_on or self.trace_hook is not None:
+                    self.step()
+                    remaining -= 1
+                    continue
+                segno, wordno, ring = ipr.segno, ipr.wordno, ipr.ring
+                key = (segno, wordno, ring)
+                trace = traces.get(key)
+                if trace is not None:
+                    consumed = jit.execute(self, trace, remaining)
                     if consumed:
                         remaining -= consumed
+                        head = (
+                            ipr.segno, ipr.wordno, ipr.ring
+                        ) != trace.closing
                         continue
-                blocks.misses += 1
-            try:
-                self.step()
-            except MachineHalted:
-                self.halted = True
-                return self.stats.instructions
-            remaining -= 1
-        self._runaway(max_steps)
-
-    def _build_block(self, segno: int, wordno: int) -> bool:
-        """Decode and install the superblock starting at ``wordno``.
-
-        Requires the segment's SDW to be in the associative memory
-        already (the prior per-step executions that made the address hot
-        guarantee it) and the segment to be unpaged — paged code keeps
-        per-word translation on the per-step path.  Returns True when a
-        non-empty block is now installed.
-        """
-        sdw = self.sdw_cache._entries.get(segno)
-        if sdw is None or sdw.paged or wordno >= sdw.bound:
-            return False
-        block = build_superblock(
-            self.memory._words, sdw.addr, wordno, sdw.bound
-        )
-        self.block_cache.install(segno, block)
-        return bool(block.entries)
-
-    def _enter_block(self, block, budget: int) -> int:
-        """Validate and execute superblocks; returns steps consumed.
-
-        Returns 0 (and touches nothing) when the entry conditions fail
-        and the dispatcher must fall back to :meth:`step`.  Otherwise
-        executes up to ``budget`` entries — further bounded by the
-        nearest pending timer/event countdown so every tick still lands
-        *between* instructions — **chaining** into the next discovered
-        block whenever a terminal leaves the IPR in the same segment at
-        the same ring (the one validation covers any block of that
-        ``(segno, ring)``; only the bound and word-compare checks rerun
-        per chained block).  Applies, in batch, exactly the counter
-        updates per-step execution would have made: cycles, memory
-        reads, SDW/PTLB/icache hit mirrors, and the interval
-        decrements.  A fault mid-block is delivered with the identical
-        context (and identical partial charges) per-step delivery would
-        have produced.
-        """
-        ipr = self.registers.ipr
-        segno = ipr.segno
-        ring = ipr.ring
-        cache = self.access_cache
-        # One validation covers the whole block: the PTLB entry proves
-        # (segno, ring, execute) passed against this exact SDW, and the
-        # bound check on the last word covers every word of the block.
-        sdw = cache._entries.get((segno, ring, GROUP_EXECUTE))
-        if (
-            sdw is None
-            or self.sdw_cache._entries.get(segno) is not sdw
-            or sdw.paged
-            or block.last >= sdw.bound
-        ):
-            return 0
-        # Blocks are bounded by the nearest pending timer/event
-        # countdown: at most (countdown - 1) instructions execute here,
-        # so the batch decrement below can never reach zero mid-block
-        # and the tick fires between instructions on the per-step path.
-        limit = budget
-        timer = self.timer
-        if timer is not None:
-            if timer <= 1:
-                return 0
-            if timer - 1 < limit:
-                limit = timer - 1
-        events = self._events
-        if events:
-            soonest = min(event[0] for event in events)
-            if soonest <= 1:
-                return 0
-            if soonest - 1 < limit:
-                limit = soonest - 1
-        # Word-compare backstop: each word about to execute must equal
-        # the word it was decoded from (catches supervisor load_image
-        # patches that announce no invalidation).
-        blocks = self.block_cache
-        words = self.memory._words
-        seg_addr = sdw.addr
-        bound = sdw.bound
-        entries = block.entries
-        n = len(entries)
-        if n > limit:
-            n = limit
-        base = seg_addr + block.start
-        block_words = block.words
-        if words[base : base + n] != (
-            block_words if n == len(block_words) else block_words[:n]
-        ):
-            blocks.discard(segno, block)
-            return 0
-        regs = self.registers
-        prs = regs.prs
-        scratch = self._block_tpr
-        stats = self.stats
-        cost = self.cost
-        fetch_cycles = cost.instruction_base + cost.memory_reference
-        crossing_extra = cost.ring_crossing_extra
-        seg_table = blocks._blocks.get(segno) or {}
-        start = block.start
-        cycles_acc = 0
-        executed = 0
-        idx = 0
-        blocks.hits += 1
-        try:
-            while True:
-                entry = entries[idx]
-                kind = entry[3]
-                # Per-step order: charge base + fetch, advance, form the
-                # effective address, perform.  The fetch's counters are
-                # accumulated locally and flushed on every exit path.
-                cycles_acc += fetch_cycles
-                ipr.wordno = (start + idx + 1) & HALF_MASK
-                if kind == K_SIMPLE:
-                    entry[2](self, entry[1], None)
-                else:
-                    _, inst, handler, _, indirect, offset, indexed, prflag, prnum = entry
-                    if indirect:
-                        tpr = form_effective_address(self, inst)
-                    else:
-                        # In-line direct EA (form_effective_address's
-                        # non-indirect fast case with ipr.ring == ring
-                        # and ipr.segno == segno, both loop invariants).
-                        # The scratch TPR is safe to reuse: handlers
-                        # copy its fields and never retain the object.
-                        if indexed:
-                            offset = (offset + (regs.a & HALF_MASK)) & HALF_MASK
-                        tpr = scratch
-                        if prflag:
-                            pr = prs[prnum]
-                            pring = pr.ring
-                            tpr.ring = pring if pring > ring else ring
-                            tpr.segno = pr.segno
-                            tpr.wordno = (pr.wordno + offset) & HALF_MASK
-                        else:
-                            tpr.ring = ring
-                            tpr.segno = segno
-                            tpr.wordno = offset
-                    handler(self, inst, tpr)
-                    if kind >= K_CALL:  # CALL / RETURN bookkeeping
-                        if kind == K_CALL:
-                            stats.calls += 1
-                        else:
-                            stats.returns += 1
-                        if ipr.ring != ring:
-                            stats.ring_crossings += 1
-                            cycles_acc += crossing_extra
-                executed += 1
-                idx += 1
-                if not block.valid:
-                    break  # the block rewrote itself: stop trusting it
-                if idx < n:
+                elif head and jit.note_dispatch(key, threshold):
+                    remaining -= jit.record_and_compile(self, remaining)
+                    head = False
                     continue
-                if executed >= limit:
-                    break
-                # Chain into the next discovered block.  Same segment,
-                # same ring: the entry validation still covers it, only
-                # the bound and word checks rerun.  A CALL, RETURN, or
-                # cross-segment transfer changed (segno, ring): rerun
-                # the full PTLB validation for the new pair, exactly
-                # the dispatch-time entry check.
-                new_segno = ipr.segno
-                new_ring = ipr.ring
-                if new_segno != segno or new_ring != ring:
-                    sdw = cache._entries.get(
-                        (new_segno, new_ring, GROUP_EXECUTE)
-                    )
-                    if (
-                        sdw is None
-                        or self.sdw_cache._entries.get(new_segno) is not sdw
-                        or sdw.paged
-                    ):
-                        break
-                    seg_table = blocks._blocks.get(new_segno)
-                    if seg_table is None:
-                        break
-                    segno = new_segno
-                    ring = new_ring
-                    seg_addr = sdw.addr
-                    bound = sdw.bound
-                nxt = seg_table.get(ipr.wordno)
-                if (
-                    nxt is None
-                    or not nxt.valid
-                    or not nxt.entries
-                    or nxt.last >= bound
-                ):
-                    break
-                m = len(nxt.entries)
-                remaining = limit - executed
-                if m > remaining:
-                    m = remaining
-                base = seg_addr + nxt.start
-                block_words = nxt.words
-                if words[base : base + m] != (
-                    block_words if m == len(block_words) else block_words[:m]
-                ):
-                    blocks.discard(segno, nxt)
-                    break
-                block = nxt
-                entries = nxt.entries
-                start = nxt.start
-                n = m
-                idx = 0
-                blocks.hits += 1
-        except Fault as fault:
-            # The faulting attempt charged its fetch (base + word read +
-            # mirrored validation hits) before derailing, exactly like
-            # fetch_instruction does per-step.
-            attempts = executed + 1
-            self.cycles += cycles_acc
-            self.memory.reads += attempts
-            self.sdw_cache.hits += attempts
-            cache.hits += attempts
-            self.inst_cache.hits += attempts
-            stats.instructions += executed
-            blocks.block_instructions += executed
-            if timer is not None:
-                self.timer = timer - executed
-            for event in events:
-                event[0] -= executed
-            at = (ring, segno, start + idx)
-            fault.at_segno, fault.at_wordno = at[1], at[2]
-            if fault.cur_ring is None:
-                fault.cur_ring = ring
-            self._deliver_fault(fault, at)
-            return attempts
-        self.cycles += cycles_acc
-        self.memory.reads += executed
-        self.sdw_cache.hits += executed
-        cache.hits += executed
-        self.inst_cache.hits += executed
-        stats.instructions += executed
-        blocks.block_instructions += executed
-        if timer is not None:
-            self.timer = timer - executed
-        for event in events:
-            event[0] -= executed
-        return executed
+                self.step()
+                remaining -= 1
+                head = (
+                    ipr.wordno < wordno
+                    and ipr.segno == segno
+                    and ipr.ring == ring
+                )
+        except MachineHalted:
+            self.halted = True
+            return self.stats.instructions
+        raise ConfigurationError(
+            f"program did not halt within {max_steps} steps "
+            f"(at ring {ipr.ring}, segment {ipr.segno}, word {ipr.wordno})"
+        )
 
     # ------------------------------------------------------------------
     # traps
@@ -1046,7 +738,6 @@ class Processor:
         self.sdw_cache.invalidate()
         self.access_cache.invalidate()
         self.inst_cache.invalidate()
-        self.block_cache.invalidate()
         if self.jit_cache.enabled:
             self.jit_cache.invalidate()
 
@@ -1056,7 +747,6 @@ class Processor:
         self.sdw_cache.invalidate()
         self.access_cache.invalidate()
         self.inst_cache.invalidate()
-        self.block_cache.invalidate()
         if self.jit_cache.enabled:
             self.jit_cache.invalidate()
 
@@ -1076,6 +766,5 @@ class Processor:
         self.sdw_cache.invalidate(segno)
         self.access_cache.invalidate(segno)
         self.inst_cache.invalidate(segno)
-        self.block_cache.invalidate(segno)
         if self.jit_cache.enabled:
             self.jit_cache.invalidate(segno)

@@ -39,9 +39,9 @@ class SDWCache:
         self.misses = 0
         self.invalidations = 0
         #: called with the victim segno on every capacity eviction —
-        #: the superblock tier stops a mid-flight block whose segment
-        #: just lost its SDW (per-step execution would pay a refetch at
-        #: the next fetch, so the block must stop mirroring hits)
+        #: the trace tier drops the compiled traces whose segment just
+        #: lost its SDW (per-step execution would pay a refetch at the
+        #: next fetch, so no trace may keep mirroring hits)
         self.on_evict: Optional[Callable[[int], None]] = None
 
     def lookup(self, segno: int) -> Optional[SDW]:

@@ -469,7 +469,7 @@ class _WorkerState:
         self.journal.sync()
         # Drop the live machine's host caches at the checkpoint
         # boundary: a restored successor starts with cold host tiers
-        # (snapshots don't serialize translations, superblocks, or
+        # (snapshots don't serialize translations, decodes, or
         # traces), so the live worker must go cold at the same point —
         # otherwise post-checkpoint calls would report different host
         # diagnostics live vs. replayed and verified replay would

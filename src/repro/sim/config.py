@@ -46,11 +46,10 @@ class MachineConfig:
         paging is transparent to protection.
     ``lazy_linking``
         snap links on first reference instead of at initiation.
-    ``fast_path_enabled`` / ``block_tier_enabled`` / ``jit_tier_enabled``
+    ``fast_path_enabled`` / ``jit_tier_enabled``
         the host execution tiers (:mod:`repro.cpu.access_cache`,
-        :mod:`repro.cpu.blockcache`, :mod:`repro.cpu.jit`), each built
-        on the one below; ``None`` follows the tier below, and the
-        trace tier's ``None`` is off unless the ``REPRO_JIT_PARITY``
+        :mod:`repro.cpu.jit`); the trace tier is built on the fast path,
+        and its ``None`` is off unless the ``REPRO_JIT_PARITY``
         backstop asks for it.  Invisible to the simulated figures.
     ``fast_gate``
         skip the supervisor re-attach on a repeat start of the attached
@@ -71,7 +70,6 @@ class MachineConfig:
     sdw_cache_slots: int = 16
     sdw_cache_enabled: bool = True
     fast_path_enabled: bool = True
-    block_tier_enabled: Optional[bool] = None
     jit_tier_enabled: Optional[bool] = None
     fast_gate: bool = False
     services: bool = True
@@ -92,11 +90,7 @@ class MachineConfig:
                 f"unknown stack rule {self.stack_rule!r}; "
                 "expected 'simple' or 'dbr'"
             )
-        resolve_tiers(
-            self.fast_path_enabled,
-            self.block_tier_enabled,
-            self.jit_tier_enabled,
-        )
+        resolve_tiers(self.fast_path_enabled, self.jit_tier_enabled)
         if not isinstance(self.cost, CostModel):
             raise ConfigurationError(
                 f"cost must be a CostModel, got {type(self.cost).__name__}"
@@ -140,10 +134,11 @@ class MachineConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "MachineConfig":
         """The inverse of :meth:`as_dict`, validated.
 
-        Also reads older blocks: keys that are not fields (``nrings``)
-        are ignored; a block written before the trace tier, the
-        hardening extensions or ``services`` were recorded leaves them
-        off, which is how such snapshots were always restored.
+        Also reads older blocks: keys that are not fields (``nrings``,
+        the retired superblock-tier knob) are ignored; a block written
+        before the trace tier, the hardening extensions or ``services``
+        were recorded leaves them off, which is how such snapshots were
+        always restored.
         """
         known = {f.name for f in fields(cls)}
         values = {"jit_tier_enabled": False, "services": False}

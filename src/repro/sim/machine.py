@@ -20,7 +20,7 @@ fields override it, so ``Machine(hardware_rings=False)`` and
 ``fast_gate`` skips the supervisor re-attach in :meth:`Machine.start`
 when the processor is already pointed at the same process and DBR —
 the software analogue of the paper's repeat-gate-call hardware path.
-Host caches (PTLB, icache, superblocks, traces) survive between runs,
+Host caches (PTLB, icache, traces) survive between runs,
 and so does the paper's SDW associative memory: a repeat call
 re-validates nothing, so its simulated figures drop by the descriptor
 fetches the first call paid — the measured form of the paper's claim
@@ -98,7 +98,6 @@ class Machine:
                 slots=config.sdw_cache_slots, enabled=config.sdw_cache_enabled
             ),
             fast_path=config.fast_path_enabled,
-            block_tier=config.block_tier_enabled,
             jit_tier=config.jit_tier_enabled,
             hardening=config.hardening,
         )
@@ -234,7 +233,7 @@ class Machine:
         re-attach: the DBR switch (which would flush every host cache,
         including compiled traces) is elided and only the interval
         timer is re-armed.  The validated call environment — trap
-        handlers, translations, superblocks, traces — survives intact,
+        handlers, translations, decodes, traces — survives intact,
         which is what makes repeat gate calls cheap.
         """
         sup = self.supervisor

@@ -52,10 +52,9 @@ class MetricsSnapshot:
     ptlb_misses: int = 0
     icache_hits: int = 0
     icache_misses: int = 0
-    #: superblock tier (host-side only; see repro.cpu.blockcache)
-    block_hits: int = 0
-    block_misses: int = 0
-    block_invalidations: int = 0
+    #: always 0: the superblock tier is gone, but the end-to-end
+    #: benchmark (benchmarks/e2e/run.py) still reads this counter for
+    #: its ``cpu.block_share`` figure
     block_instructions: int = 0
     #: trace-compile tier (host-side only; see repro.cpu.jit)
     jit_hits: int = 0
@@ -92,7 +91,6 @@ class MetricsSnapshot:
         sdw = proc.sdw_cache
         ptlb = proc.access_cache
         icache = proc.inst_cache
-        blocks = proc.block_cache
         traces = proc.jit_cache
         return cls(
             proc.cycles,
@@ -110,10 +108,7 @@ class MetricsSnapshot:
             ptlb.misses,
             icache.hits,
             icache.misses,
-            blocks.hits,
-            blocks.misses,
-            blocks.invalidations,
-            blocks.block_instructions,
+            0,
             traces.hits,
             traces.misses,
             traces.invalidations,
@@ -130,12 +125,13 @@ class MetricsSnapshot:
         """The inverse of :meth:`as_dict`.
 
         Unknown keys are rejected (they signal a version skew between
-        whoever serialized the dict and this build); missing host-tier
-        counters default to 0 so architectural-only dicts — what workers
-        report as their totals — round-trip too.  Values are coerced
-        with ``int``.
+        whoever serialized the dict and this build), except the retired
+        superblock-tier counters older builds wrote, which are dropped;
+        missing host-tier counters default to 0 so architectural-only
+        dicts — what workers report as their totals — round-trip too.
+        Values are coerced with ``int``.
         """
-        unknown = data.keys() - _FIELD_SET
+        unknown = data.keys() - _FIELD_SET - RETIRED_COUNTERS
         if unknown:
             raise ValueError(
                 f"unknown metric counter(s): {sorted(unknown)}"
@@ -166,7 +162,7 @@ class MetricsSnapshot:
         return total
 
     #: the hit/miss counter pairs that have a meaningful hit rate
-    TIERS = ("sdw", "ptlb", "icache", "block", "jit")
+    TIERS = ("sdw", "ptlb", "icache", "jit")
 
     def rates(self) -> Dict[str, Optional[float]]:
         """Hit rate per cache tier as ``{tier}_hit_rate`` keys.
@@ -200,6 +196,11 @@ class MetricsSnapshot:
 #: constructor call above uses
 _FIELDS = tuple(MetricsSnapshot.__dataclass_fields__)
 _FIELD_SET = frozenset(_FIELDS)
+#: counters of the retired superblock tier that older snapshots and
+#: worker totals still carry; :meth:`MetricsSnapshot.from_dict` drops them
+RETIRED_COUNTERS = frozenset(
+    {"block_hits", "block_misses", "block_invalidations"}
+)
 _ZEROS = (0,) * len(_FIELDS)
 #: every counter value as a tuple, in field order
 _values = attrgetter(*_FIELDS)

@@ -25,7 +25,7 @@ that turn it into one:
   the recovery replayer use, verifying every applied result against
   the journaled one.  Verification covers ``error``/``detail``/
   ``payload`` and the **architectural** counters: host-tier
-  diagnostics (PTLB, icache, block, trace hits) legitimately differ
+  diagnostics (PTLB, icache, trace hits) legitimately differ
   between primary and replica because the primary drops its host
   caches at checkpoint boundaries the replica cannot observe — the
   exactness contract is about the simulated machine, and that is what

@@ -22,7 +22,7 @@ extra      opaque caller bookkeeping (the serve workers store their
 ========== ==========================================================
 
 Cache *contents* are deliberately not serialized.  The host-side tiers
-(PTLB, decoded-instruction cache, superblock tier) are rebuilt cold —
+(PTLB, decoded-instruction cache, trace tier) are rebuilt cold —
 they are architecturally invisible, so a cold restart changes nothing
 the simulation can observe.  The SDW associative memory is different:
 its misses are architecturally charged, so a cold SDW cache would make
@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.acl import AclEntry, RingBracketSpec
 from ..cpu.faults import Fault, FaultCode
-from ..cpu.processor import ProcessorStats, resolve_tiers
+from ..cpu.processor import ProcessorStats
 from ..cpu.registers import IPR, PointerRegister, RegisterFile
 from ..errors import SnapshotError
 from ..krnl.baseline645 import SoftwareRingAssist
@@ -398,7 +398,6 @@ def snapshot_machine(
 def restore_machine(
     snap: Dict[str, Any],
     fast_path_enabled: Optional[bool] = None,
-    block_tier_enabled: Optional[bool] = None,
     jit_tier_enabled: Optional[bool] = None,
     fast_gate: Optional[bool] = None,
 ) -> Machine:
@@ -406,17 +405,18 @@ def restore_machine(
 
     The machine's shape is the snapshot's own
     (:meth:`~repro.sim.config.MachineConfig.from_dict`), except that
-    ``fast_path_enabled`` / ``block_tier_enabled`` /
-    ``jit_tier_enabled`` / ``fast_gate`` override the host-side
-    execution tiers — the architectural figures are identical for every
-    combination, which the restore-equivalence test pins.  An inherited
-    trace tier is clamped to the (possibly overridden) block tier.
+    ``fast_path_enabled`` / ``jit_tier_enabled`` / ``fast_gate``
+    override the host-side execution tiers — the architectural figures
+    are identical for every combination, which the restore-equivalence
+    test pins.  An inherited trace tier is clamped to the (possibly
+    overridden) fast path.  Snapshots written while the superblock tier
+    existed load unchanged: its config knob is ignored and its
+    counters are dropped.
     """
     overrides = {
         name: value
         for name, value in (
             ("fast_path_enabled", fast_path_enabled),
-            ("block_tier_enabled", block_tier_enabled),
             ("jit_tier_enabled", jit_tier_enabled),
             ("fast_gate", fast_gate),
         )
@@ -424,10 +424,7 @@ def restore_machine(
     }
     config = replace(MachineConfig.from_dict(snap["config"]), **overrides)
     if jit_tier_enabled is None and config.jit_tier_enabled:
-        block, _ = resolve_tiers(
-            config.fast_path_enabled, config.block_tier_enabled, None
-        )
-        config = replace(config, jit_tier_enabled=block)
+        config = replace(config, jit_tier_enabled=config.fast_path_enabled)
     # the file system comes from the snapshot, not from a fresh
     # install of the service segments
     machine = Machine(config, services=False)
@@ -603,10 +600,6 @@ def restore_machine(
     proc.inst_cache.hits = counters.icache_hits
     proc.inst_cache.misses = counters.icache_misses
     proc.inst_cache.invalidations = procd["cache_invalidations"]["icache"]
-    proc.block_cache.hits = counters.block_hits
-    proc.block_cache.misses = counters.block_misses
-    proc.block_cache.invalidations = counters.block_invalidations
-    proc.block_cache.block_instructions = counters.block_instructions
     proc.jit_cache.hits = counters.jit_hits
     proc.jit_cache.misses = counters.jit_misses
     proc.jit_cache.invalidations = counters.jit_invalidations

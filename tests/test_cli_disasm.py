@@ -133,8 +133,8 @@ class TestCLI:
             "sdw_hit_rate",
             "ptlb_hit_rate",
             "icache_hit_rate",
-            "block_hit_rate",
-            "block_invalidations",
+            "jit_hit_rate",
+            "jit_invalidations",
         ):
             assert key in payload
 

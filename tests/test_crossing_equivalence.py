@@ -208,9 +208,7 @@ def test_pr_rings_across_crossings_match_the_interpreter(monkeypatch):
     @example(LATER_SHAPE)
     def check(program):
         jit = warm_runs(program, jit_tier_enabled=True)
-        interpreted = warm_runs(
-            program, fast_path_enabled=False, block_tier_enabled=False
-        )
+        interpreted = warm_runs(program, fast_path_enabled=False)
         assert jit == interpreted
 
     check()

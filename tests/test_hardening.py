@@ -319,7 +319,6 @@ class TestLegalWorkloadsUnderHardening:
 
         interp = figure(
             fast_path_enabled=False,
-            block_tier_enabled=False,
             jit_tier_enabled=False,
         )
         jit = figure(jit_tier_enabled=True)

@@ -52,7 +52,6 @@ class TestDefaults:
             "sdw_cache_slots": 8,
             "sdw_cache_enabled": False,
             "fast_path_enabled": False,
-            "block_tier_enabled": False,
             "jit_tier_enabled": False,
             "fast_gate": True,
             "services": False,
@@ -83,18 +82,12 @@ class TestRejections:
             ({"memory_words": -5}, "memory_words"),
             ({"sdw_cache_slots": 0}, "sdw_cache_slots"),
             ({"stack_rule": "tower"}, "stack rule"),
-            (
-                {"block_tier_enabled": True, "fast_path_enabled": False},
-                "block_tier_enabled",
-            ),
+            ({"cost": "free"}, "CostModel"),
             (
                 {"jit_tier_enabled": True, "fast_path_enabled": False},
                 "jit_tier_enabled",
             ),
-            (
-                {"jit_tier_enabled": True, "block_tier_enabled": False},
-                "superblock",
-            ),
+            ({"sdw_cache_slots": -1}, "sdw_cache_slots"),
             ({"hardening": "auth_return_stack"}, "HardeningConfig"),
         ],
     )
@@ -125,27 +118,22 @@ class TestRejections:
 
 
 class TestLegalMatrix:
-    #: every legal (fast_path, block, jit) combination; None follows
-    #: the tier below
+    #: every legal (fast_path, jit) combination; a None trace tier is
+    #: off unless the parity backstop asks for it
     LEGAL = [
-        (False, None, None),
-        (False, False, False),
-        (False, False, None),
-        (True, None, None),
-        (True, False, False),
-        (True, True, None),
-        (True, True, True),
-        (True, None, True),
+        (False, None),
+        (False, False),
+        (True, None),
+        (True, False),
+        (True, True),
     ]
 
-    @pytest.mark.parametrize("fast_path,block,jit", LEGAL)
-    def test_legal_tier_combinations_build(self, fast_path, block, jit):
-        machine = Machine(
-            fast_path_enabled=fast_path,
-            block_tier_enabled=block,
-            jit_tier_enabled=jit,
-        )
+    @pytest.mark.parametrize("fast_path,jit", LEGAL)
+    def test_legal_tier_combinations_build(self, fast_path, jit):
+        machine = Machine(fast_path_enabled=fast_path, jit_tier_enabled=jit)
         assert machine.processor.access_cache.enabled is fast_path
+        if jit is not None:
+            assert machine.processor.jit_cache.enabled is jit
 
     def test_hardened_config_builds_hardened_machine(self):
         machine = Machine(
@@ -158,7 +146,7 @@ class TestLegalMatrix:
         assert machine.processor.domains is None
 
     def test_jit_none_with_fast_path_off_is_legal(self):
-        """None means 'follow the tier below' — never a contradiction."""
+        """A None trace tier follows the fast path — never a contradiction."""
         machine = Machine(fast_path_enabled=False)
         assert machine.processor.access_cache.enabled is False
 
@@ -173,7 +161,8 @@ class TestLegalMatrix:
 
 #: a snapshot "config" block in the format written before snapshots
 #: stored MachineConfig.as_dict(): it records nrings and the resolved
-#: tier booleans, and has no "services" key
+#: tier booleans (the superblock tier's among them), and has no
+#: "services" key
 OLDER_BLOCK = {
     "memory_words": 65536,
     "hardware_rings": False,
@@ -241,7 +230,6 @@ class TestSnapshotRoundTrip:
             hardware_rings=False,
             stack_rule="simple",
             paged=True,
-            block_tier_enabled=True,
             jit_tier_enabled=True,
             fast_gate=True,
             services=False,
@@ -250,3 +238,26 @@ class TestSnapshotRoundTrip:
         assert not restored.processor.hardware_rings
         assert restored.processor.jit_cache.enabled
         assert restored.processor.nx_brackets
+
+    def test_counters_with_superblock_fields_restore(self):
+        """A snapshot's counters as builds with the superblock tier
+        wrote them: the three block counters are dropped on restore,
+        and any other unknown counter is still refused."""
+        machine = Machine(memory_words=1 << 16, services=False)
+        snap = snapshot_machine(machine)
+        snap["counters"] = {
+            "cycles": 90, "instructions": 22, "faults": 0,
+            "traps_delivered": 0, "calls": 4, "returns": 4,
+            "ring_crossings": 8, "memory_reads": 40, "memory_writes": 8,
+            "sdw_hits": 30, "sdw_misses": 2, "ptlb_hits": 30,
+            "ptlb_misses": 2, "icache_hits": 20, "icache_misses": 2,
+            "block_hits": 3, "block_misses": 5, "block_invalidations": 1,
+            "block_instructions": 9, "jit_hits": 1, "jit_misses": 0,
+            "jit_invalidations": 0, "jit_instructions": 12,
+        }
+        restored = restore_machine(snap).processor
+        assert (restored.cycles, restored.stats.calls) == (90, 4)
+        assert restored.jit_cache.instructions == 12
+        snap["counters"]["block_chains"] = 1
+        with pytest.raises(ValueError, match="block_chains"):
+            restore_machine(snap)

@@ -45,13 +45,11 @@ from repro.sim.metrics import MetricsSnapshot
 from repro.state.snapshot import apply_delta, canonical_bytes, decode_delta
 
 #: host-tier knob combinations for the hydrate-equivalence matrix
-#: (fast_path, block_tier, jit_tier) — the block tier requires the
-#: fast path, and the trace-compile tier requires the block tier
+#: (fast_path, jit_tier) — the trace-compile tier requires the fast path
 KNOBS = [
-    (False, False, False),
-    (True, False, False),
-    (True, True, False),
-    (True, True, True),
+    (False, False),
+    (True, False),
+    (True, True),
 ]
 
 
@@ -266,11 +264,10 @@ class TestHydrateKnobMatrix:
             for call_id in ("m2", "m3")
         ]
 
-        for fast_path, block_tier, jit in KNOBS:
+        for fast_path, jit in KNOBS:
             engine = GateCallEngine.from_snapshot(
                 snap,
                 fast_path_enabled=fast_path,
-                block_tier_enabled=block_tier,
                 jit_tier_enabled=jit,
             )
             got = [
@@ -278,8 +275,7 @@ class TestHydrateKnobMatrix:
                 for call_id in ("m2", "m3")
             ]
             assert got == expected, (
-                f"divergence with fast_path={fast_path} "
-                f"block_tier={block_tier} jit={jit}"
+                f"divergence with fast_path={fast_path} jit={jit}"
             )
 
 

@@ -72,6 +72,32 @@ class TestDictForm:
         with pytest.raises(ValueError, match="bogus"):
             MetricsSnapshot.from_dict({"cycles": 1, "bogus": 2})
 
+    def test_from_dict_drops_retired_block_counters(self):
+        # a worker total as builds with the superblock tier wrote it
+        older = {
+            "cycles": 90, "instructions": 22, "faults": 0,
+            "traps_delivered": 0, "calls": 4, "returns": 4,
+            "ring_crossings": 8, "memory_reads": 40, "memory_writes": 8,
+            "sdw_hits": 30, "sdw_misses": 2, "ptlb_hits": 30,
+            "ptlb_misses": 2, "icache_hits": 20, "icache_misses": 2,
+            "block_hits": 3, "block_misses": 5, "block_invalidations": 1,
+            "block_instructions": 9, "jit_hits": 1, "jit_misses": 0,
+            "jit_invalidations": 0, "jit_instructions": 12,
+        }
+        snapshot = MetricsSnapshot.from_dict(older)
+        assert snapshot.cycles == 90
+        assert snapshot.block_instructions == 9
+        assert snapshot.jit_instructions == 12
+        assert "block_hits" not in snapshot.as_dict()
+        with pytest.raises(ValueError, match="block_bogus"):
+            MetricsSnapshot.from_dict(dict(older, block_bogus=1))
+
+    def test_collected_block_instructions_stay_zero(self):
+        machine, process = build_call_loop(count=64, jit_tier_enabled=True)
+        result = machine.run(process, "caller$main", ring=4)
+        assert result.metrics.block_instructions == 0
+        assert "block_hit_rate" not in result.metrics.rates()
+
     @given(st.sets(st.sampled_from(FIELDS)), counters)
     def test_from_dict_defaults_missing_counters_to_zero(self, present, value):
         snapshot = MetricsSnapshot.from_dict(
@@ -94,9 +120,8 @@ class TestDictForm:
 
 #: (label, Machine knobs) for every execution tier
 TIERS = [
-    ("interp", {"fast_path_enabled": False, "block_tier_enabled": False}),
-    ("fast", {"block_tier_enabled": False}),
-    ("block", {}),
+    ("interp", {"fast_path_enabled": False}),
+    ("fast", {}),
     ("jit", {"jit_tier_enabled": True}),
 ]
 
@@ -106,7 +131,6 @@ def stats_reference(proc):
     sdw = proc.sdw_cache.stats()
     ptlb = proc.access_cache.stats()
     icache = proc.inst_cache.stats()
-    blocks = proc.block_cache.stats()
     traces = proc.jit_cache.stats()
     return {
         "cycles": proc.cycles,
@@ -124,10 +148,7 @@ def stats_reference(proc):
         "ptlb_misses": ptlb["misses"],
         "icache_hits": icache["hits"],
         "icache_misses": icache["misses"],
-        "block_hits": blocks["hits"],
-        "block_misses": blocks["misses"],
-        "block_invalidations": blocks["invalidations"],
-        "block_instructions": blocks["block_instructions"],
+        "block_instructions": 0,
         "jit_hits": traces["hits"],
         "jit_misses": traces["misses"],
         "jit_invalidations": traces["invalidations"],
@@ -147,7 +168,6 @@ class TestCollection:
         tier_hits = {
             "interp": collected.instructions,
             "fast": collected.ptlb_hits,
-            "block": collected.block_hits,
             "jit": collected.jit_hits,
         }
         assert tier_hits[label] > 0

@@ -28,8 +28,8 @@ from repro.state.snapshot import restore_machine, snapshot_machine
 
 USER_ACL = [AclEntry("*", RingBracketSpec.procedure(4))]
 
-#: restore-time host-cache knob combinations (block tier requires the
-#: fast path, so (False, True) is not a legal machine)
+#: restore-time host-tier knob combinations (fast_path, jit): the trace
+#: tier requires the fast path, so (False, True) is not a legal machine
 KNOBS = [(False, False), (True, False), (True, True)]
 
 GATE_PROGRAM = """
@@ -87,16 +87,16 @@ class TestMidStreamEquivalence:
             except MachineHalted:
                 break
         snap = snapshot_machine(interrupted)
-        for fast_path, block_tier in KNOBS:
+        for fast_path, jit in KNOBS:
             restored = restore_machine(
                 snap,
                 fast_path_enabled=fast_path,
-                block_tier_enabled=block_tier,
+                jit_tier_enabled=jit,
             )
             run_to_halt(restored)
             assert figures(restored) == expected, (
                 f"divergence after restore at step {steps} with "
-                f"fast_path={fast_path} block_tier={block_tier}"
+                f"fast_path={fast_path} jit={jit}"
             )
 
     def test_double_checkpoint_is_invisible(self):
