@@ -259,33 +259,6 @@ class TestSelfModifyingCode:
         }
         assert observed["trace"] == observed["fast"] == observed["interp"]
 
-    def test_patch_takes_effect_from_the_first_trip(self):
-        """The store lands before the patched word executes, so every
-        trip decrements A by 2: 20 trips of 5 instructions for A = 40,
-        plus LDA and HALT.  A stale decode or trace would run the old
-        NOP and double the trip count."""
-        words = [
-            asm_inst(Op.LDA, offset=40, immediate=True),
-            asm_inst(Op.LDQ, offset=7),  # loop: load the patch word
-            asm_inst(Op.STQ, offset=4),  # rewrite word 4
-            asm_inst(Op.SBA, offset=1, immediate=True),
-            asm_inst(Op.NOP),  # becomes SBA =1
-            asm_inst(Op.TNZ, offset=1),
-            halt_word(),
-            asm_inst(Op.SBA, offset=1, immediate=True),  # the patch word
-        ]
-        tiers = {
-            name: self.run_smc(words=words, **knobs)
-            for name, knobs in PROC_TIERS.items()
-        }
-        observed = {name: self.observed(bm) for name, bm in tiers.items()}
-        assert observed["trace"] == observed["fast"] == observed["interp"]
-        assert tiers["trace"].regs.a == 0
-        assert tiers["trace"].proc.stats.instructions == 2 + 20 * 5
-        stats = tiers["trace"].proc.jit_cache.stats()
-        assert stats["hits"] > 0
-        assert stats["invalidations"] >= 1
-
 
 class TestSdwEviction:
     """Associative-memory churn drops traces for the evicted segment."""

@@ -118,22 +118,31 @@ class TestRejections:
 
 
 class TestLegalMatrix:
-    #: every legal (fast_path, jit) combination; a None trace tier is
-    #: off unless the parity backstop asks for it
+    #: every (fast_path, block, jit) combination that was legal while
+    #: the superblock tier existed; a None trace tier is off unless the
+    #: parity backstop asks for it
     LEGAL = [
-        (False, None),
-        (False, False),
-        (True, None),
-        (True, False),
-        (True, True),
+        (False, None, None),
+        (False, False, False),
+        (False, False, None),
+        (True, None, None),
+        (True, False, False),
+        (True, True, None),
+        (True, True, True),
+        (True, None, True),
     ]
 
-    @pytest.mark.parametrize("fast_path,jit", LEGAL)
-    def test_legal_tier_combinations_build(self, fast_path, jit):
+    @pytest.mark.parametrize("fast_path,block,jit", LEGAL)
+    def test_legal_tier_combinations_build(self, fast_path, block, jit):
         machine = Machine(fast_path_enabled=fast_path, jit_tier_enabled=jit)
         assert machine.processor.access_cache.enabled is fast_path
         if jit is not None:
             assert machine.processor.jit_cache.enabled is jit
+        # a config block that still records the retired block knob
+        # reads back as the same shape, the knob ignored
+        data = machine.config.as_dict()
+        data["block_tier_enabled"] = block
+        assert MachineConfig.from_dict(data) == machine.config
 
     def test_hardened_config_builds_hardened_machine(self):
         machine = Machine(
