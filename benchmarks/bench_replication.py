@@ -36,7 +36,7 @@ import repro.serve.workers as workers
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.loadgen import run_load
-from repro.serve.workers import DurabilityConfig, _WorkerState
+from repro.serve.workers import DurabilityConfig, GateCallEngine, _WorkerState
 from repro.state.recover import JOURNAL_NAME, SNAPSHOT_NAME, recover_slot
 from repro.state.replication import JournalTailer, ReplicaApplier, read_frames
 
@@ -216,7 +216,7 @@ def test_r1_replication_costs(benchmark, tmp_path):
         for leftover in (snapshot_path, snapshot_path + ".prev"):
             if os.path.exists(leftover):
                 os.remove(leftover)
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(GateCallEngine())
         for frame in frames[: TAIL_CALLS - SHIP_LAG]:
             applier.apply(frame)
         started = time.perf_counter()

@@ -694,8 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="spawn N in-process warm standbys and ship every slot's "
-        "journal to them; on a pool crash the lowest-lag follower is "
-        "promoted instead of cold-restoring (requires --durability-dir)",
+        "journal to them; each replica runs the slot's own machine "
+        "shape (any --machine-profile/--hardening); on a pool crash the "
+        "lowest-lag follower is promoted instead of cold-restoring "
+        "(requires --durability-dir)",
     )
     serve.add_argument(
         "--ship-every",
@@ -877,8 +879,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--verify",
         action="store_true",
-        help="check every replayed outcome against the journaled one "
-        "(exit 1 on any divergence or journal corruption)",
+        help="check every replayed outcome against the journaled one: "
+        "error, detail and payload verbatim plus every architectural "
+        "counter (host-tier counters depend on checkpoint-time cache "
+        "drops the journal does not record); exit 1 on any divergence "
+        "or journal corruption",
     )
     replay.add_argument(
         "--strict",

@@ -298,14 +298,6 @@ class RingGateway:
         #: the shape of every worker machine, validated here so a bad
         #: profile or hardening flag fails at construction
         self.machine = self.config.machine()
-        if self.machine != SERVING_MACHINE and (
-            self.config.replicas or self.config.replica_endpoints
-        ):
-            raise ConfigurationError(
-                "replicas build ringed, unhardened serving machines, so "
-                "replication requires the default machine_profile and "
-                "no hardening"
-            )
         self._sessions = self.config.sessions()
         #: validated eagerly so a bad replication setup fails at
         #: construction, not mid-failover

@@ -58,7 +58,7 @@ from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
-from ..state.recover import replay_journal
+from ..state.recover import journal_record, replay_journal
 from ..state.snapshot import (
     apply_delta,
     canonical_bytes,
@@ -589,18 +589,7 @@ class SessionPool:
             tenant.dirty = True
             tail = self._ensure_tail(tenant)
             if tail is not None:
-                tail.append(
-                    {
-                        "call_id": call_id,
-                        "job": {
-                            "user": job["user"],
-                            "ring": job["ring"],
-                            "program": job["program"],
-                            "args": job["args"],
-                        },
-                        "result": result,
-                    }
-                )
+                tail.append(journal_record(job, result))
                 tenant.tail_records += 1
             if call_id is not None:
                 tenant.recent[call_id] = result

@@ -5,10 +5,12 @@ Three pieces, layered over :mod:`repro.state.replication`:
 * :class:`StandbyServer` — an asyncio JSON-lines TCP service (the same
   wire format as the gateway, :mod:`repro.serve.protocol`) that hosts
   one :class:`~repro.state.replication.ReplicaApplier` per primary
-  slot.  Verbs: ``ship`` (apply a batch of CRC-checked frames, ack
-  with the applied seq), ``stats``/``audit`` (read-only health and
-  architectural figures answered locally, without touching the
-  primary), ``promote`` (tail replay + promotion snapshot into the
+  slot, each on a fresh machine of the shape the slot's checkpoint
+  records, so every machine profile and hardening replicates.  Verbs:
+  ``ship`` (apply a batch of CRC-checked frames, ack with the applied
+  seq), ``stats``/``audit`` (read-only health and architectural
+  figures answered locally, without touching the primary),
+  ``promote`` (tail replay + promotion snapshot into the
   slot directory), ``lookup`` (call_id -> journaled result), ``bye``.
 * :class:`ReplicaClient` — a minimal client for one standby, used by
   the shippers and anything driving a standalone ``repro standby``.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, JournalError, ReproError
-from ..state.recover import JOURNAL_NAME
+from ..state.recover import JOURNAL_NAME, slot_engine
 from ..state.replication import (
     Frame,
     JournalTailer,
@@ -100,12 +102,14 @@ class StandbyServer:
         self.port: Optional[int] = None
 
     def applier_for(self, slot: int) -> ReplicaApplier:
-        """The slot's applier, created warm-empty on first reference."""
+        """The slot's applier, created empty on first reference, on a
+        fresh machine of the shape the slot's checkpoint records."""
         if not (isinstance(slot, int) and 0 <= slot < MAX_SLOTS):
             raise ConfigurationError(f"bad slot index {slot!r}")
         applier = self._appliers.get(slot)
         if applier is None:
-            applier = self._appliers[slot] = ReplicaApplier()
+            engine = slot_engine(self.config.slot_dir(slot))
+            applier = self._appliers[slot] = ReplicaApplier(engine)
             self._locks[slot] = asyncio.Lock()
         return applier
 

@@ -83,8 +83,13 @@ from ..sim.config import MachineConfig
 from ..sim.machine import Machine
 from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
-from ..state.recover import JOURNAL_NAME, SNAPSHOT_NAME, recover_slot
-from ..state.snapshot import snapshot_machine, write_snapshot_file
+from ..state.recover import (
+    JOURNAL_NAME,
+    journal_record,
+    recover_slot,
+    remember,
+    write_checkpoint,
+)
 from .catalog import resolve
 from .protocol import ErrorCode
 
@@ -104,11 +109,6 @@ SERVING_MACHINE = MachineConfig(
 #: per-call step cap: generous for any catalog program, small enough
 #: that a runaway variant cannot wedge a worker for long
 MAX_STEPS_PER_CALL = 2_000_000
-
-#: bound on the per-worker duplicate-suppression cache; a retried call
-#: older than this many calls re-executes instead (harmless — catalog
-#: programs are idempotent per invocation)
-RECENT_CALLS = 512
 
 _LOCAL = threading.local()
 
@@ -295,10 +295,11 @@ class DurabilityConfig:
             raise ConfigurationError("fsync_every must be positive")
 
 
-#: slot indices owned by live workers of *this* process.  The claim
+#: slot directories owned by live workers of *this* process, each
+#: mapped to the durability config it was claimed under.  The claim
 #: files carry only a pid, which cannot tell one thread (or pool
-#: generation) of our own process from another — this set can.
-_LIVE_SLOTS: set = set()
+#: generation) of our own process from another — this map can.
+_LIVE_SLOTS: Dict[str, DurabilityConfig] = {}
 _LIVE_LOCK = threading.Lock()
 
 
@@ -319,15 +320,19 @@ def _init_worker(
     _LOCAL.setup = (durability, machine)
 
 
-def release_live_slots() -> None:
-    """Forget this process's slot claims (pool fully shut down).
+def release_live_slots(owner: Optional[DurabilityConfig] = None) -> None:
+    """Forget this process's slot claims made under ``owner`` (a pool's
+    durability config, once the pool has fully shut down), or all of
+    them.
 
     Thread-backend pools leave claim files naming our own (live) pid;
     without this, a successor pool in the same process could never
-    reclaim them.  Call only after the pool's workers have stopped.
+    reclaim them.  Call only after the owner's workers have stopped.
     """
     with _LIVE_LOCK:
-        _LIVE_SLOTS.clear()
+        for slot_dir, config in list(_LIVE_SLOTS.items()):
+            if owner is None or config is owner:
+                del _LIVE_SLOTS[slot_dir]
 
 
 def _pid_alive(pid: int) -> bool:
@@ -340,7 +345,7 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _try_claim(slot: int, slot_dir: str) -> bool:
+def _try_claim(slot_dir: str, config: DurabilityConfig) -> bool:
     """Claim one slot directory, stealing it from a dead owner if needed.
 
     The claim file holds the owner's pid.  ``O_CREAT | O_EXCL`` makes
@@ -349,8 +354,9 @@ def _try_claim(slot: int, slot_dir: str) -> bool:
     and proceeds to the exclusive create.
     """
     claim = os.path.join(slot_dir, "claim")
+    key = os.path.realpath(slot_dir)
     with _LIVE_LOCK:
-        if slot in _LIVE_SLOTS:
+        if key in _LIVE_SLOTS:
             return False
         try:
             fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -378,7 +384,7 @@ def _try_claim(slot: int, slot_dir: str) -> bool:
             handle.write(str(os.getpid()))
             handle.flush()
             os.fsync(handle.fileno())
-        _LIVE_SLOTS.add(slot)
+        _LIVE_SLOTS[key] = config
         return True
 
 
@@ -395,7 +401,7 @@ def _claim_slot(config: DurabilityConfig) -> Tuple[int, str]:
         for slot in range(config.slots):
             slot_dir = os.path.join(slots_root, f"slot-{slot}")
             os.makedirs(slot_dir, exist_ok=True)
-            if _try_claim(slot, slot_dir):
+            if _try_claim(slot_dir, config):
                 return slot, slot_dir
         if time.monotonic() >= deadline:
             raise ConfigurationError(
@@ -450,7 +456,6 @@ class _WorkerState:
         recovery = recover_slot(self.slot_dir, machine=machine)
         self.engine = recovery.engine
         self.recent = recovery.recent
-        self._trim_recent()
         self.journal = JournalWriter(
             os.path.join(self.slot_dir, JOURNAL_NAME),
             fsync_every=durability.fsync_every,
@@ -461,30 +466,12 @@ class _WorkerState:
             # first checkpoint, which records its shape
             self._checkpoint()
 
-    def _trim_recent(self) -> None:
-        while len(self.recent) > RECENT_CALLS:
-            self.recent.popitem(last=False)
-
     def _checkpoint(self) -> None:
         self.journal.sync()
-        # Drop the live machine's host caches at the checkpoint
-        # boundary: a restored successor starts with cold host tiers
-        # (snapshots don't serialize translations, decodes, or
-        # traces), so the live worker must go cold at the same point —
-        # otherwise post-checkpoint calls would report different host
-        # diagnostics live vs. replayed and verified replay would
-        # diverge.  Architectural counters are unaffected.
-        self.engine.machine.processor.drop_host_caches()
-        extra = {
-            "engine": self.engine.bookkeeping(),
-            "last_seq": self.journal.last_seq,
-            "generation": self.generation,
-        }
-        snap = snapshot_machine(self.engine.machine, extra=extra)
-        current = os.path.join(self.slot_dir, SNAPSHOT_NAME)
-        if os.path.exists(current):
-            os.replace(current, current + ".prev")
-        write_snapshot_file(snap, current)
+        write_checkpoint(
+            self.engine, self.slot_dir, self.journal.last_seq,
+            generation=self.generation,
+        )
         self.calls_since_checkpoint = 0
 
     def execute(self, job: Dict[str, Any]) -> Dict[str, Any]:
@@ -498,27 +485,14 @@ class _WorkerState:
         else:
             result = self.engine.run_job(job)
             if self.journal is not None:
-                self.journal.append(
-                    {
-                        "call_id": call_id,
-                        "job": {
-                            "user": job["user"],
-                            "ring": job["ring"],
-                            "program": job["program"],
-                            "args": job["args"],
-                        },
-                        "result": result,
-                    }
-                )
+                self.journal.append(journal_record(job, result))
                 self.calls_since_checkpoint += 1
                 if (
                     self.calls_since_checkpoint
                     >= self.durability.checkpoint_interval
                 ):
                     self._checkpoint()
-            if call_id is not None:
-                self.recent[call_id] = result
-                self._trim_recent()
+            remember(self.recent, call_id, result)
         out = dict(result)
         out["worker"] = self.worker_id
         out["pid"] = os.getpid()
@@ -992,4 +966,5 @@ class WorkerPool:
         self._channels = []
         self._processes = []
         self._threads = []
-        release_live_slots()
+        if self.durability is not None:
+            release_live_slots(self.durability)

@@ -46,10 +46,17 @@ MAGIC = b"RPJRNL1\n"
 _FRAME = struct.Struct("<II")
 
 
-def _encode_record(record: Dict[str, Any]) -> bytes:
-    payload = json.dumps(
+def canonical_record_bytes(record: Dict[str, Any]) -> bytes:
+    """A record's canonical JSON: the exact payload bytes the journal
+    frames, so re-encoding a decoded record reproduces them (and their
+    CRC) byte for byte."""
+    return json.dumps(
         record, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+def _encode_record(record: Dict[str, Any]) -> bytes:
+    payload = canonical_record_bytes(record)
     return _FRAME.pack(len(payload), crc32(payload)) + payload
 
 

@@ -19,29 +19,24 @@ that turn it into one:
   shipped record carries the CRC taken from the journal file itself,
   re-verified against the canonical re-encoding on arrival, so
   integrity holds end to end: disk frame -> wire -> replica.
-* :class:`ReplicaApplier` — a warm replica: a
-  :class:`~repro.serve.workers.GateCallEngine` that applies shipped
-  records through the same ``run_job`` path the serving workers and
-  the recovery replayer use, verifying every applied result against
-  the journaled one.  Verification covers ``error``/``detail``/
-  ``payload`` and the **architectural** counters: host-tier
-  diagnostics (PTLB, icache, trace hits) legitimately differ
-  between primary and replica because the primary drops its host
-  caches at checkpoint boundaries the replica cannot observe — the
-  exactness contract is about the simulated machine, and that is what
-  is pinned, record by record.
+* :class:`ReplicaApplier` — a warm replica: an engine on the slot's
+  recorded machine shape (:func:`~repro.state.recover.slot_engine`)
+  that applies shipped records with the verified replay step of
+  :mod:`repro.state.recover` — the one ``repro replay --verify`` runs,
+  with the one verifier (``error``/``detail``/``payload`` verbatim and
+  every **architectural** counter), pinned record by record.
 
 Promotion (:meth:`ReplicaApplier.promote`) is what failover buys: the
 replica replays only the journal tail past its applied position —
 bounded by shipping lag, not by the primary's checkpoint interval —
 then folds itself into a fresh promotion snapshot inside the slot
-directory.  The next worker to claim the slot recovers from that
-snapshot with an empty tail, and the generation bump on its claim
-fences the dead incarnation.  The snapshot does not carry the
-duplicate-suppression cache (``call_id`` -> journaled result): the
-successor rebuilds it from the same slot journal the replica applied,
-so calls that were in flight at the crash dedup instead of
-double-executing.
+directory, through the workers' own checkpoint writer.  The next
+worker to claim the slot recovers from that snapshot with an empty
+tail, and the generation bump on its claim fences the dead
+incarnation.  The snapshot does not carry the duplicate-suppression
+cache (``call_id`` -> journaled result): the successor rebuilds it
+from the same slot journal the replica applied, so calls that were in
+flight at the crash dedup instead of double-executing.
 """
 
 from __future__ import annotations
@@ -54,18 +49,14 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 from zlib import crc32
 
-from ..errors import JournalError, ReplayDivergenceError
-from ..sim.metrics import MetricsSnapshot
-from .journal import MAGIC, _FRAME, read_journal
-from .recover import JOURNAL_NAME, SNAPSHOT_NAME
-from .snapshot import snapshot_machine, write_snapshot_file
-
-#: bound on a replica's duplicate-suppression cache (what :meth:`lookup`
-#: answers the gateway from) — mirrors the serving workers' RECENT_CALLS
-REPLICA_RECENT_CALLS = 512
-
-#: result fields a replica compares verbatim on every applied record
-_VERBATIM_FIELDS = ("error", "detail", "payload")
+from ..errors import JournalError
+from .journal import MAGIC, _FRAME, canonical_record_bytes
+from .recover import (
+    JOURNAL_NAME,
+    replay_journal,
+    replay_record,
+    write_checkpoint,
+)
 
 
 @dataclass(frozen=True)
@@ -75,20 +66,6 @@ class Frame:
     seq: int
     crc: int
     record: Dict[str, Any]
-
-
-def canonical_record_bytes(record: Dict[str, Any]) -> bytes:
-    """The canonical JSON encoding — the exact bytes the journal wrote.
-
-    :class:`~repro.state.journal.JournalWriter` frames
-    ``json.dumps(record, sort_keys=True, separators=(",", ":"))``, so
-    re-encoding a decoded record reproduces the on-disk payload byte
-    for byte; that is what lets a shipped record's file CRC be
-    re-checked after a trip through the wire's own JSON layer.
-    """
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
 
 
 def encode_frame(frame: Frame) -> Dict[str, Any]:
@@ -230,55 +207,20 @@ def read_frames(
     return JournalTailer(path).poll(max_records=limit)
 
 
-def check_replica_result(
-    seq: int, expected: Dict[str, Any], actual: Dict[str, Any]
-) -> None:
-    """Raise :class:`ReplayDivergenceError` unless ``actual`` matches.
-
-    Compares ``error``/``detail``/``payload`` verbatim and the metrics
-    on the **architectural** counters only — the host-tier diagnostics
-    depend on checkpoint-boundary cache drops the replica cannot
-    observe, and the exactness contract they back is checked elsewhere
-    (the parity backstop, the restore-equivalence matrix).
-    """
-    for name in _VERBATIM_FIELDS:
-        if expected.get(name) != actual.get(name):
-            raise ReplayDivergenceError(
-                seq, name, expected.get(name), actual.get(name)
-            )
-    expected_metrics = expected.get("metrics")
-    actual_metrics = actual.get("metrics")
-    if (expected_metrics is None) != (actual_metrics is None):
-        raise ReplayDivergenceError(
-            seq, "metrics", expected_metrics, actual_metrics
-        )
-    if expected_metrics is None:
-        return
-    for name in MetricsSnapshot.ARCHITECTURAL:
-        if expected_metrics.get(name) != actual_metrics.get(name):
-            raise ReplayDivergenceError(
-                seq,
-                f"metrics.{name}",
-                expected_metrics.get(name),
-                actual_metrics.get(name),
-            )
-
-
 class ReplicaApplier:
     """A warm replica machine built by applying shipped journal records.
 
-    Applying is replaying: every record's job runs through the same
-    :class:`~repro.serve.workers.GateCallEngine` code path the serving
-    workers use, and the result is verified against the journaled one
-    before the record counts as applied.  Records at or below
-    ``applied_seq`` are skipped idempotently (re-shipped batches after
-    a reconnect or a promotion are harmless); a gap above it is fatal.
+    Applying is replaying: every record goes through
+    :func:`~repro.state.recover.replay_record` with verification on,
+    before it counts as applied.  ``engine`` is a fresh engine on the
+    slot's shape (:func:`~repro.state.recover.slot_engine`).  Records
+    at or below ``applied_seq`` are skipped idempotently (re-shipped
+    batches after a reconnect or a promotion are harmless); a gap
+    above it is fatal.
     """
 
-    def __init__(self, engine: Any = None):
-        from ..serve.workers import GateCallEngine
-
-        self.engine = engine if engine is not None else GateCallEngine()
+    def __init__(self, engine: Any):
+        self.engine = engine
         self.applied_seq = 0
         self.applied = 0
         self.skipped = 0
@@ -304,15 +246,7 @@ class ReplicaApplier:
                 f"replication gap: got seq {seq}, expected "
                 f"{self.applied_seq + 1}"
             )
-        result = self.engine.run_job(record["job"])
-        check_replica_result(seq, record["result"], result)
-        call_id = record.get("call_id")
-        if call_id is not None:
-            # the journaled result is authoritative: it is what the
-            # caller was (or would have been) told
-            self.recent[call_id] = record["result"]
-            while len(self.recent) > REPLICA_RECENT_CALLS:
-                self.recent.popitem(last=False)
+        replay_record(self.engine, record, self.recent, verify=True)
         self.applied_seq = seq
         self.applied += 1
         self.last_applied_at = time.monotonic()
@@ -325,13 +259,18 @@ class ReplicaApplier:
         shipped when the primary died.  A missing journal is an empty
         tail.  Returns how many records were applied.
         """
-        applied = 0
-        for record in read_journal(journal_path):
-            if record["seq"] <= self.applied_seq:
-                continue
-            self.apply_record(record)
-            applied += 1
-        return applied
+        report = replay_journal(
+            journal_path,
+            engine=self.engine,
+            start_seq=self.applied_seq,
+            verify=True,
+            recent=self.recent,
+        )
+        if report.replayed:
+            self.applied_seq = report.last_seq
+            self.applied += report.replayed
+            self.last_applied_at = time.monotonic()
+        return report.replayed
 
     def lookup(self, call_id: str) -> Optional[Dict[str, Any]]:
         """The journaled result of ``call_id`` if this replica saw it."""
@@ -340,34 +279,19 @@ class ReplicaApplier:
     def promote(self, slot_dir: str) -> Dict[str, Any]:
         """Fail over onto this replica: tail replay + promotion snapshot.
 
-        Replays the unacked journal tail (everything journaled past
-        ``applied_seq`` — bounded by shipping lag, not the primary's
-        checkpoint interval), then writes a fresh snapshot into the
-        slot directory with the replica's bookkeeping and journal
-        position.  The next worker to claim the slot recovers from it
-        with an empty tail and rebuilds its duplicate-suppression
-        cache from the slot journal
+        Replays the journal tail past ``applied_seq`` (bounded by
+        shipping lag, not the primary's checkpoint interval), then
+        checkpoints into the slot directory.  The next worker to claim
+        the slot recovers from it with an empty tail
         (:func:`~repro.state.recover.recover_slot`); its generation
-        bump fences the dead incarnation.  An empty tail —
-        the replica was fully caught up, or the slot never executed a
-        call — still writes the snapshot, so promotion is uniform.
+        bump fences the dead incarnation.  An empty tail — the replica
+        was fully caught up, or the slot never executed a call — still
+        writes the snapshot, so promotion is uniform.
         """
-        journal_path = os.path.join(slot_dir, JOURNAL_NAME)
-        replayed = self.catch_up(journal_path)
-        # Checkpoint discipline: the successor restores with cold host
-        # tiers, so the replica goes cold at the same point — keeps any
-        # later live-vs-replay comparison of host diagnostics exact.
-        self.engine.machine.processor.drop_host_caches()
-        extra = {
-            "engine": self.engine.bookkeeping(),
-            "last_seq": self.applied_seq,
-            "promoted": True,
-        }
-        snap = snapshot_machine(self.engine.machine, extra=extra)
-        current = os.path.join(slot_dir, SNAPSHOT_NAME)
-        if os.path.exists(current):
-            os.replace(current, current + ".prev")
-        digest = write_snapshot_file(snap, current)
+        replayed = self.catch_up(os.path.join(slot_dir, JOURNAL_NAME))
+        digest = write_checkpoint(
+            self.engine, slot_dir, self.applied_seq, promoted=True
+        )
         self.promotions += 1
         return {
             "slot_dir": slot_dir,

@@ -358,19 +358,6 @@ class TestServingAB:
         report = asyncio.run(body())
         assert any("profile" in p for p in report.check())
 
-    def test_profile_does_not_compose_with_replication(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RingGateway(
-                GatewayConfig(
-                    port=0,
-                    workers=1,
-                    backend="thread",
-                    durability_dir=str(tmp_path),
-                    replicas=1,
-                    machine_profile="baseline645",
-                )
-            )
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigurationError):
             RingGateway(
@@ -526,16 +513,6 @@ class TestServingHardened:
 
         report = asyncio.run(body())
         assert any("hardening" in p for p in report.check())
-
-    def test_hardening_does_not_compose_with_replication(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RingGateway(
-                self._config(
-                    ("ring_domains",),
-                    durability_dir=str(tmp_path),
-                    replicas=1,
-                )
-            )
 
     def test_unknown_hardening_flag_rejected(self):
         with pytest.raises(ConfigurationError):

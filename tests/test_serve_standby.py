@@ -29,9 +29,21 @@ from repro.serve.standby import (
     StandbyConfig,
     StandbyServer,
 )
+from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
-from repro.state.recover import JOURNAL_NAME, recover_slot
+from repro.state.recover import JOURNAL_NAME, recover_slot, slot_engine
 from repro.state.replication import JournalTailer, encode_frame, read_frames
+
+
+#: machine shapes the replication tests run over: the default serving
+#: machine, and the 645 software-ring baseline with a hardening flag
+SHAPES = {
+    "default": {},
+    "baseline645_auth_return_stack": {
+        "machine_profile": "baseline645",
+        "hardening": ("auth_return_stack",),
+    },
+}
 
 
 def run(coro):
@@ -198,19 +210,21 @@ class TestStandbyServer:
 class TestPromotionExactness:
     """The unit-level half of the failover-exactness acceptance bar."""
 
-    def test_crash_promote_resume_is_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_crash_promote_resume_is_bit_identical(self, tmp_path, shape):
         # One user throughout, with mid-journal checkpoints: the
         # hardest case for replica verification, because the primary's
         # checkpoint-boundary cache drops make its *host-tier* figures
         # diverge from any fresh replayer — while the architectural
         # figures must stay bit-identical.
+        machine = GatewayConfig(**SHAPES[shape]).machine()
         jobs = make_jobs(40, user="solo")
         durability = workers.DurabilityConfig(
             dir=str(tmp_path), slots=1, checkpoint_interval=6,
             fsync_every=1,
         )
         try:
-            primary = workers._WorkerState(durability)
+            primary = workers._WorkerState(durability, machine)
             slot_dir = primary.slot_dir
             for job in jobs[:30]:
                 assert "error" not in primary.execute(job)
@@ -223,7 +237,8 @@ class TestPromotionExactness:
                 os.path.join(slot_dir, JOURNAL_NAME)
             ).poll()
             assert len(frames) == 30
-            applier = ReplicaApplier()
+            applier = ReplicaApplier(slot_engine(slot_dir))
+            assert applier.engine.machine.config == machine
             for frame in frames[:26]:
                 applier.apply(frame)
 
@@ -236,8 +251,9 @@ class TestPromotionExactness:
 
             # the successor claims the slot (generation bump = fence),
             # recovers from the promotion snapshot with an empty tail
-            successor = workers._WorkerState(durability)
+            successor = workers._WorkerState(durability, machine)
             assert successor.slot_dir == slot_dir
+            assert successor.engine.machine.config == machine
             assert successor.generation == primary.generation + 1
             assert successor.engine.calls == 30
 
@@ -260,10 +276,12 @@ class TestPromotionExactness:
         # crash, no checkpoints, no replication
         from repro.serve.workers import GateCallEngine
 
-        reference = GateCallEngine()
+        reference = GateCallEngine(Machine(machine))
+        payloads = []
         for job in jobs:
             result = reference.run_job(job)
             assert "error" not in result
+            payloads.append(result["payload"])
         assert resumed_calls == reference.calls == 40
         assert resumed_arch == reference.total.architectural()
 
@@ -272,11 +290,16 @@ class TestPromotionExactness:
         calls, journal_arch = journal_architectural_sum(str(tmp_path))
         assert calls == 40
         assert journal_arch == reference.total.architectural()
+        journal = os.path.join(slot_dir, JOURNAL_NAME)
+        assert [
+            frame.record["result"]["payload"] for frame in read_frames(journal)
+        ] == payloads
 
 
 class TestReplicatedGateway:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_shipping_reaches_zero_lag_and_mirrors_the_primary(
-        self, tmp_path
+        self, tmp_path, shape
     ):
         config = gateway_config(
             durability_dir=str(tmp_path),
@@ -285,6 +308,7 @@ class TestReplicatedGateway:
             replicas=1,
             ship_every=2,
             ack_window=2,
+            **SHAPES[shape],
         )
 
         async def body(gateway):
@@ -307,6 +331,7 @@ class TestReplicatedGateway:
                 pytest.fail(f"followers never caught up: {followers}")
             for follower in followers:
                 assert follower["lag_records"] == 0
+                assert follower["error"] is None
             assert stats["replication"]["enabled"] is True
             assert stats["replication"]["promotions"] == 0
             for follower in followers:
@@ -316,6 +341,7 @@ class TestReplicatedGateway:
             # gateway's merged architectural figures, bit for bit
             (follower_handle,) = gateway._replicas._followers
             applier = follower_handle.server.applier_for(0)
+            assert applier.engine.machine.config == gateway.machine
             assert (
                 applier.engine.total.architectural()
                 == stats["architectural"]
@@ -360,7 +386,8 @@ class TestReplicatedGateway:
 class TestFailoverUnderLoad:
     """The end-to-end half of the failover-exactness acceptance bar."""
 
-    def test_sigkill_primary_promotes_and_stays_exact(self, tmp_path):
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_sigkill_primary_promotes_and_stays_exact(self, tmp_path, shape):
         config = gateway_config(
             workers=2,
             backend="process",
@@ -370,6 +397,7 @@ class TestFailoverUnderLoad:
             replicas=1,
             ship_every=2,
             ack_window=2,
+            **SHAPES[shape],
         )
 
         async def body(gateway):
@@ -420,3 +448,4 @@ class TestFailoverUnderLoad:
                 os.path.join(str(tmp_path), "slots", name)
             )
             assert recovery.engine.calls >= 0
+            assert recovery.engine.machine.config == config.machine()

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.serve import gateway as gateway_module
+from repro.serve import workers as workers_module
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.protocol import ErrorCode
@@ -419,6 +420,41 @@ class TestPoolShapes:
         assert {result["machine_profile"] for result in results} == {
             "baseline645"
         }
+
+
+class TestSlotClaims:
+    def test_two_durable_gateways_claim_and_release_their_own_slots(
+        self, tmp_path
+    ):
+        """Two thread-backend durable gateways in one process, on
+        different directories: each claims its own slot 0, and stopping
+        one leaves the other's claim live."""
+        dirs = [tmp_path / "first", tmp_path / "second"]
+
+        async def main():
+            gateways = [
+                RingGateway(gateway_config(durability_dir=str(d)))
+                for d in dirs
+            ]
+            for gateway in gateways:
+                await gateway.start()
+            try:
+                replies = []
+                for gateway in gateways:
+                    client = await Client.open(gateway.port, "alice")
+                    replies.append(await client.call())
+                    await client.close()
+                await gateways[0].stop()
+                return replies, set(workers_module._LIVE_SLOTS)
+            finally:
+                await gateways[-1].stop()
+
+        replies, live = asyncio.run(main())
+        for reply in replies:
+            assert reply["ok"], reply
+            assert reply["worker"] == "slot0"
+        assert live == {os.path.realpath(dirs[1] / "slots" / "slot-0")}
+        assert not workers_module._LIVE_SLOTS
 
 
 class TestSessionDrain:

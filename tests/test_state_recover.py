@@ -1,6 +1,9 @@
 """Slot recovery and verified replay over real worker journals."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from zlib import crc32
 
@@ -9,16 +12,18 @@ import pytest
 import repro.serve.workers as workers
 from repro.errors import JournalError, ReplayDivergenceError, SnapshotError
 from repro.serve.workers import (
-    RECENT_CALLS,
     SERVING_MACHINE,
     DurabilityConfig,
     _WorkerState,
 )
 from repro.sim.config import MachineConfig
+from repro.sim.metrics import MetricsSnapshot
 from repro.state.journal import MAGIC, _FRAME, read_journal
 from repro.state.recover import (
     JOURNAL_NAME,
+    RECENT_CALLS,
     SNAPSHOT_NAME,
+    check_result,
     recover_slot,
     replay_journal,
 )
@@ -53,6 +58,27 @@ def job(i, call_id=None, **overrides):
     }
     base.update(overrides)
     return base
+
+
+def forge(journal, seq, mutate):
+    """Rewrite record ``seq`` of ``journal`` with ``mutate`` and re-frame
+    it with a correct CRC, so only the replay cross-check can catch it."""
+    data = journal.read_bytes()
+    offset = len(MAGIC)
+    records = []
+    while offset < len(data):
+        length, _ = _FRAME.unpack_from(data, offset)
+        start = offset + _FRAME.size
+        records.append(json.loads(data[start : start + length]))
+        offset = start + length
+    mutate(records[seq - 1])
+    forged = MAGIC
+    for record in records:
+        payload = json.dumps(
+            record, sort_keys=True, separators=(",", ":")
+        ).encode()
+        forged += _FRAME.pack(len(payload), crc32(payload)) + payload
+    journal.write_bytes(forged)
 
 
 def crash(state):
@@ -279,24 +305,11 @@ class TestVerifiedReplay:
         self, durable_worker, tmp_path
     ):
         journal = self.build_journal(durable_worker, tmp_path)
-        data = journal.read_bytes()
-        offset = len(MAGIC)
-        records = []
-        while offset < len(data):
-            length, _ = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            records.append(json.loads(data[start : start + length]))
-            offset = start + length
-        # forge record 3: lie about the A register, re-frame with a
-        # correct CRC so only the replay cross-check can catch it
-        records[2]["result"]["payload"]["a"] += 1
-        forged = MAGIC
-        for record in records:
-            payload = json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            ).encode()
-            forged += _FRAME.pack(len(payload), crc32(payload)) + payload
-        journal.write_bytes(forged)
+
+        def lie_about_a(record):
+            record["result"]["payload"]["a"] += 1
+
+        forge(journal, 3, lie_about_a)
 
         report = replay_journal(str(journal))  # structurally fine
         assert report.replayed == 5
@@ -324,3 +337,94 @@ class TestVerifiedReplay:
         assert report.replayed == 4
         with pytest.raises(JournalError):
             replay_journal(str(journal), verify=True, strict=True)
+
+
+class TestVerifiedReplayPastCheckpoints:
+    """A live worker drops its host caches at every checkpoint, and a
+    replay from seq 0 cannot see where; verification still holds on the
+    architectural figures, record by record, past any checkpoint."""
+
+    INTERVAL = 8
+    CALLS = 5 * INTERVAL
+
+    def build_slot(self, durable_worker, tmp_path):
+        state = durable_worker(checkpoint_interval=self.INTERVAL)
+        for i in range(self.CALLS):
+            state.execute(job(i))
+        state.journal.sync()
+        return tmp_path / "slots" / "slot-0"
+
+    def test_replay_verifies_every_record(self, durable_worker, tmp_path):
+        slot_dir = self.build_slot(durable_worker, tmp_path)
+        report = replay_journal(str(slot_dir / JOURNAL_NAME), verify=True)
+        assert report.verified == report.replayed == self.CALLS
+
+    def test_cli_replay_verify_in_a_fresh_process(
+        self, durable_worker, tmp_path
+    ):
+        slot_dir = self.build_slot(durable_worker, tmp_path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", str(slot_dir),
+             "--verify"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert f"verified {self.CALLS} outcome(s)" in done.stdout
+
+    @pytest.mark.parametrize(
+        "part, name, field",
+        [
+            ("payload", "cycles", "payload"),
+            ("metrics", "instructions", "metrics.instructions"),
+        ],
+        ids=["payload", "architectural_counter"],
+    )
+    def test_forgery_after_a_checkpoint_is_caught(
+        self, durable_worker, tmp_path, part, name, field
+    ):
+        def mutate(record):
+            record["result"][part][name] += 1
+
+        slot_dir = self.build_slot(durable_worker, tmp_path)
+        seq = 3 * self.INTERVAL + 2  # three checkpoints in
+        forge(slot_dir / JOURNAL_NAME, seq, mutate)
+        with pytest.raises(ReplayDivergenceError) as excinfo:
+            replay_journal(str(slot_dir / JOURNAL_NAME), verify=True)
+        assert excinfo.value.seq == seq
+        assert excinfo.value.field == field
+
+
+class TestResultVerifier:
+    """The one verifier every replay and every replica runs."""
+
+    def test_architectural_divergence_is_fatal(self):
+        metrics = MetricsSnapshot.zero().as_dict()
+        other = dict(metrics, cycles=7)
+        with pytest.raises(ReplayDivergenceError, match="cycles"):
+            check_result(
+                1,
+                {"payload": {}, "metrics": metrics},
+                {"payload": {}, "metrics": other},
+            )
+
+    def test_host_tier_differences_are_tolerated(self):
+        # the primary drops its host caches at checkpoint boundaries
+        # a replayer cannot observe: PTLB/icache/trace figures
+        # legitimately differ, architectural figures may not
+        metrics = MetricsSnapshot.zero().as_dict()
+        warm = dict(metrics, ptlb_hits=40, icache_hits=22, jit_hits=3)
+        check_result(
+            1,
+            {"payload": {}, "metrics": metrics},
+            {"payload": {}, "metrics": warm},
+        )
+
+    def test_error_and_payload_are_verbatim(self):
+        with pytest.raises(ReplayDivergenceError, match="detail"):
+            check_result(
+                1,
+                {"error": "machine_fault", "detail": "a"},
+                {"error": "machine_fault", "detail": "b"},
+            )

@@ -13,14 +13,12 @@ import pytest
 
 from repro.errors import JournalError, ReplayDivergenceError
 from repro.serve import workers
-from repro.sim.metrics import MetricsSnapshot
 from repro.state.journal import JournalWriter
-from repro.state.recover import JOURNAL_NAME, recover_slot
+from repro.state.recover import JOURNAL_NAME, recover_slot, slot_engine
 from repro.state.replication import (
     Frame,
     JournalTailer,
     ReplicaApplier,
-    check_replica_result,
     decode_frame,
     encode_frame,
     read_frames,
@@ -97,45 +95,13 @@ class TestWireFrames:
             decode_frame(entry)
 
 
-class TestReplicaResultCheck:
-    def test_architectural_divergence_is_fatal(self):
-        metrics = MetricsSnapshot.zero().as_dict()
-        other = dict(metrics, cycles=7)
-        with pytest.raises(ReplayDivergenceError, match="cycles"):
-            check_replica_result(
-                1,
-                {"payload": {}, "metrics": metrics},
-                {"payload": {}, "metrics": other},
-            )
-
-    def test_host_tier_differences_are_tolerated(self):
-        # the primary drops its host caches at checkpoint boundaries
-        # the replica cannot observe: PTLB/icache/block/trace figures
-        # legitimately differ, architectural figures may not
-        metrics = MetricsSnapshot.zero().as_dict()
-        warm = dict(metrics, ptlb_hits=40, icache_hits=22, jit_hits=3)
-        check_replica_result(
-            1,
-            {"payload": {}, "metrics": metrics},
-            {"payload": {}, "metrics": warm},
-        )
-
-    def test_error_and_payload_are_verbatim(self):
-        with pytest.raises(ReplayDivergenceError, match="detail"):
-            check_replica_result(
-                1,
-                {"error": "machine_fault", "detail": "a"},
-                {"error": "machine_fault", "detail": "b"},
-            )
-
-
 class TestReplicaApplier:
     def test_applies_and_verifies_shipped_frames(self, durable_state):
         run_jobs(durable_state, make_jobs(5))
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames:
             assert applier.apply(frame) is True
         assert applier.applied_seq == 5
@@ -151,7 +117,7 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames:
             applier.apply(frame)
         for frame in frames:  # an at-least-once redelivery
@@ -165,7 +131,7 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         applier.apply(frames[0])
         with pytest.raises(JournalError, match="gap"):
             applier.apply(frames[2])
@@ -180,7 +146,7 @@ class TestReplicaApplier:
         record["result"]["payload"] = dict(
             record["result"]["payload"], a=424242
         )
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         with pytest.raises(ReplayDivergenceError):
             applier.apply_record(record)
 
@@ -189,7 +155,7 @@ class TestReplicaApplier:
         frames = JournalTailer(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         ).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames:
             applier.apply(frame)
         hit = applier.lookup("call-alice-1")
@@ -203,7 +169,7 @@ class TestPromotion:
         run_jobs(durable_state, make_jobs(8))
         slot_dir = durable_state.slot_dir
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames[:5]:  # shipping lag: 3 records behind
             applier.apply(frame)
         report = applier.promote(slot_dir)
@@ -218,7 +184,7 @@ class TestPromotion:
         slot_dir = durable_state.slot_dir
         primary_arch = durable_state.engine.total.architectural()
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames[:4]:
             applier.apply(frame)
         applier.promote(slot_dir)
@@ -235,7 +201,7 @@ class TestPromotion:
         run_jobs(durable_state, make_jobs(4))
         slot_dir = durable_state.slot_dir
         frames = JournalTailer(slot_dir + "/" + JOURNAL_NAME).poll()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         for frame in frames:  # fully caught up before the crash
             applier.apply(frame)
         report = applier.promote(slot_dir)
@@ -250,7 +216,7 @@ class TestPromotion:
         # (fresh-machine) snapshot the successor can recover from
         slot_dir = tmp_path / "slot-0"
         slot_dir.mkdir()
-        applier = ReplicaApplier()
+        applier = ReplicaApplier(workers.GateCallEngine())
         report = applier.promote(str(slot_dir))
         assert report["replayed_tail"] == 0
         recovery = recover_slot(str(slot_dir))
