@@ -140,8 +140,8 @@ def test_s2_bounded_live_set_exactness(benchmark, tmp_path):
                 fetch_stats=False,
             )
             # the first users admitted are long since parked — these
-            # phases are all hydrate misses (minus any prefetch wins),
-            # each over a disjoint slice of the population
+            # phases are all hydrate misses, each over a disjoint slice
+            # of the population
             sample = max(WORKERS, min(HYDRATE_SAMPLE, USERS // HYDRATE_REPS))
             hydrates = []
             for rep in range(HYDRATE_REPS):
@@ -207,7 +207,7 @@ def test_s2_bounded_live_set_exactness(benchmark, tmp_path):
     assert sessions["parks"] >= USERS - SLOTS
     assert sessions["evictions"] > 0
     for hydrate in hydrates:
-        assert hydrate.hydrated + hydrate.prefetch_hits == hydrate.sessions
+        assert hydrate.hydrated == hydrate.sessions
 
     # -- parked deltas are small -------------------------------------------
     park_ratio = sessions["park_size_ratio"]
@@ -228,10 +228,6 @@ def test_s2_bounded_live_set_exactness(benchmark, tmp_path):
     )
     benchmark.extra_info["churn_p99_ms"] = round(churn.percentile(0.99), 3)
     benchmark.extra_info["hydrated"] = sessions["hydrated"]
-    benchmark.extra_info["prefetch_hydrated"] = sessions.get(
-        "prefetch_hydrated", 0
-    )
-    benchmark.extra_info["prefetch_hits"] = sessions.get("prefetch_hits", 0)
     benchmark.extra_info["park_delta_size_ratio"] = park_ratio
     benchmark.extra_info["hydrate_p99_ms"] = round(hydrate_p99, 3)
     benchmark.extra_info["warm_p50_ms"] = round(warm_p50, 3)

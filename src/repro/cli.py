@@ -370,7 +370,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 fsync_every=args.fsync_every,
                 max_sessions=args.max_sessions,
                 session_store_dir=args.session_store,
-                prefetch_interval=args.prefetch_interval,
                 replicas=args.replicas,
                 ship_every=args.ship_every,
                 ack_window=args.ack_window,
@@ -422,8 +421,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await gateway.stop()
         counters = gateway.counters
         print(
-            f"served {counters.completed} calls "
-            f"({counters.timed_out} timed out, "
+            f"served {counters.answered} calls "
+            f"({counters.machine_faults} faulted, "
+            f"{counters.timed_out} timed out, "
             f"{counters.rejected_rate_limited + counters.rejected_queue_full}"
             f" rejected, {counters.recoveries} pool recoveries, "
             f"{counters.promotions} promotions)",
@@ -735,13 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="persist parked sessions under DIR (default: in-memory; "
         "requires --max-sessions)",
-    )
-    serve.add_argument(
-        "--prefetch-interval",
-        type=float,
-        default=0.05,
-        help="idle-tick period for warm-pool prefetching of recently "
-        "parked sessions (0: off)",
     )
     serve.add_argument(
         "--machine-profile",

@@ -115,8 +115,8 @@ class GatewayConfig:
     durability_dir: Optional[str] = None
     #: snapshot each worker machine every this many executed calls
     checkpoint_interval: int = 64
-    #: batch journal fsyncs (crash loses at most ``fsync_every - 1``
-    #: journaled calls; the gateway's retry path absorbs that)
+    #: batch journal fsyncs (a crash loses at most ``fsync_every - 1``
+    #: journaled calls, already answered, so no retry brings them back)
     fsync_every: int = 8
     #: session virtualization: total live tenant slots across all
     #: worker shards; ``None`` keeps the classic one-machine-per-worker
@@ -127,10 +127,6 @@ class GatewayConfig:
     #: directory backing parked tenants and their WAL tails; ``None``
     #: parks in worker memory (lost on crash); requires ``max_sessions``
     session_store_dir: Optional[str] = None
-    #: idle-tick period of the warm-pool prefetcher; 0 disables it
-    prefetch_interval: float = 0.05
-    #: tenants hydrated per shard per idle tick
-    prefetch_batch: int = 2
     #: warm standbys spawned in-process; each mirrors every slot by
     #: applying shipped journal records (requires ``durability_dir``)
     replicas: int = 0
@@ -199,7 +195,6 @@ class GatewayConfig:
                 self.machine(), memory_words=TENANT_MEMORY_WORDS
             ),
             fsync_every=self.fsync_every,
-            prefetch_batch=self.prefetch_batch,
         )
 
 
@@ -236,10 +231,11 @@ class GatewayCounters:
     session_created: int = 0
     #: session mode: executed calls that paid the cold-attach vector
     session_cold_calls: int = 0
-    #: session mode: calls that found their tenant prefetched and live
-    session_prefetch_hits: int = 0
-    #: session mode: tenants hydrated ahead of demand by the prefetcher
-    prefetch_hydrated: int = 0
+
+    @property
+    def answered(self) -> int:
+        """Calls the machine answered, whether OK or faulted."""
+        return self.completed + self.machine_faults
 
     def as_dict(self) -> Dict[str, int]:
         """All counters as a plain dict, for the ``stats`` payload."""
@@ -303,7 +299,6 @@ class RingGateway:
         #: construction, not mid-failover
         self._replication = self.config.replication()
         self._replicas: Optional[ReplicaSet] = None
-        self._prefetch_task: Optional[asyncio.Task] = None
         self.counters = GatewayCounters()
         self.admission = AdmissionController(
             self.config.default_policy, self.config.ring_policies
@@ -363,8 +358,6 @@ class RingGateway:
             port=self.config.port,
             limit=2 * MAX_LINE_BYTES,
         )
-        if self._sessions is not None and self.config.prefetch_interval > 0:
-            self._prefetch_task = asyncio.create_task(self._prefetch_loop())
         if self._replication is not None:
             self._replicas = ReplicaSet(self._replication)
             await self._replicas.start()
@@ -379,11 +372,6 @@ class RingGateway:
         if self._server is None:
             return
         self._draining = True
-        if self._prefetch_task is not None:
-            self._prefetch_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._prefetch_task
-            self._prefetch_task = None
         self._server.close()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_timeout
@@ -451,31 +439,6 @@ class RingGateway:
             self.pool = await self._start_pool()
             self._pool_epoch += 1
             self.counters.recoveries += 1
-
-    async def _prefetch_loop(self) -> None:
-        """Idle-tick warm-pool prefetcher (session mode only).
-
-        When the gateway has no in-flight calls, each shard hydrates up
-        to ``prefetch_batch`` of its most-recently-parked tenants into
-        free slots, so a returning tenant's next call finds its machine
-        live instead of paying the hydrate miss.  Prefetch work shares
-        each shard's single worker, so it only runs while idle and
-        never delays a real call that is already queued.
-        """
-        while not self._draining:
-            await asyncio.sleep(self.config.prefetch_interval)
-            if self._inflight or self._draining or self.pool is None:
-                continue
-            for shard in range(self.config.workers):
-                if self._inflight or self._draining:
-                    break
-                try:
-                    result = await self._session_op(
-                        shard, "prefetch", limit=self.config.prefetch_batch
-                    )
-                except (BrokenExecutor, RuntimeError, AttributeError):
-                    break
-                self.counters.prefetch_hydrated += result.get("hydrated", 0)
 
     def _session_op(
         self, shard: int, op: str, **fields: Any
@@ -842,8 +805,6 @@ class RingGateway:
                 self.counters.session_hydrated += 1
             elif session_info.get("admitted") == "created":
                 self.counters.session_created += 1
-            if session_info.get("prefetch_hit"):
-                self.counters.session_prefetch_hits += 1
             if session_info.get("cold") and not deduplicated:
                 self.counters.session_cold_calls += 1
         if deduplicated:
@@ -960,9 +921,8 @@ class RingGateway:
         )
         shards = [reply for reply in replies if isinstance(reply, dict)]
         summable = [
-            "live", "parked", "created", "hydrated", "prefetch_hydrated",
-            "prefetch_hits", "parks", "evictions", "cold_calls",
-            "warm_calls", "deduplicated", "replayed_tail_calls",
+            "live", "parked", "created", "hydrated", "parks", "evictions",
+            "cold_calls", "warm_calls", "deduplicated", "replayed_tail_calls",
             "park_delta_bytes", "park_full_bytes", "park_stored_bytes",
         ]
         totals = {
@@ -978,6 +938,10 @@ class RingGateway:
                 round(totals["park_delta_bytes"] / full, 6) if full else None
             ),
             **totals,
+            # no prefetcher hydrates ahead of demand; the keys stay for
+            # clients that still read them
+            "prefetch_hydrated": 0,
+            "prefetch_hits": 0,
             "per_shard": shards,
         }
         return payload

@@ -82,11 +82,17 @@ class LoadReport:
     expect_hardening: Optional[Sequence[str]] = None
 
     @property
+    def answered(self) -> int:
+        """Calls the machine answered: OK, or faulted with the code an
+        adversarial run demands."""
+        return self.ok + self.expected_faults
+
+    @property
     def throughput(self) -> float:
-        """Completed-OK calls per wall-clock second."""
+        """Answered calls per wall-clock second."""
         if self.elapsed_seconds <= 0:
             return 0.0
-        return self.ok / self.elapsed_seconds
+        return self.answered / self.elapsed_seconds
 
     @property
     def dropped(self) -> int:

@@ -11,9 +11,9 @@ the same code path place every segment at the same physical addresses,
 so the sparse memory chunks of a parked tenant almost all match the
 base and are stored by reference — a parked ``call_loop`` tenant costs
 a few KB, not a full machine.  A parked tenant **hydrates** back into
-a slot on its next call (or ahead of it, via the prefetcher), replaying
-any write-ahead tail journaled after the park, and resumes with
-bit-for-bit the architectural counters it parked with.
+a slot on its next call, replaying any write-ahead tail journaled
+after the park, and resumes with bit-for-bit the architectural
+counters it parked with.
 
 Parking is deliberately *not* checkpointing.  A durability checkpoint
 (PR 4) snapshots the machine mid-service — attached, SDW associative
@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
@@ -60,13 +61,13 @@ from ..sim.metrics import MetricsSnapshot
 from ..state.journal import JournalWriter
 from ..state.recover import journal_record, replay_journal
 from ..state.snapshot import (
+    DEFAULT_COMPRESS_LEVEL,
     apply_delta,
     canonical_bytes,
     decode_delta,
     delta_snapshot,
     encode_delta,
     read_snapshot_file,
-    snapshot_digest,
     snapshot_machine,
     write_snapshot_file,
 )
@@ -110,7 +111,6 @@ class SessionConfig:
     store_dir: Optional[str] = None
     machine: MachineConfig = TENANT_MACHINE
     fsync_every: int = 8
-    prefetch_batch: int = 2
 
     def __post_init__(self) -> None:
         if self.max_live <= 0:
@@ -218,26 +218,25 @@ class SessionStore:
         return os.path.join(self.dir, "bases", _name_hash(shape) + ".ptr")
 
     def base_for_shape(
-        self, shape: str, candidate: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """The base image for ``shape``, electing ``candidate`` if the
-        shape has none yet.  Returns the elected base snapshot."""
+        self, shape: str, candidate: Dict[str, Any], digest: str
+    ) -> Tuple[Dict[str, Any], str]:
+        """The base image for ``shape`` and its digest, electing
+        ``candidate`` (whose snapshot digest is ``digest``) if the shape
+        has none yet."""
         with self._lock:
-            digest = self._shape_digest.get(shape)
-            if digest is not None:
-                return self._bases[digest]
+            elected = self._shape_digest.get(shape)
+            if elected is not None:
+                return self._bases[elected], elected
             if self.dir is None:
-                digest = snapshot_digest(candidate)
                 self._bases[digest] = candidate
                 self._shape_digest[shape] = digest
-                return candidate
+                return candidate, digest
         # On-disk election: publish the candidate base, write the
         # pointer under a private name, then link it into place — the
         # link fails if the shape already has a pointer, and otherwise
         # makes the complete pointer visible at once.  A loser adopts
         # the winner's digest; its published base stays on disk for
         # any deltas already referencing it.
-        digest = snapshot_digest(candidate)
         base_path = self._base_path(digest)
         if not os.path.exists(base_path):
             write_snapshot_file(candidate, base_path)
@@ -257,10 +256,11 @@ class SessionStore:
         base = self.base_by_digest(digest)
         with self._lock:
             self._shape_digest[shape] = digest
-        return base
+        return base, digest
 
     def base_by_digest(self, digest: str) -> Dict[str, Any]:
-        """The base snapshot with ``digest`` (cached after first read)."""
+        """The base snapshot with ``digest`` (cached after the first
+        read, which checks the file against the digest it records)."""
         with self._lock:
             base = self._bases.get(digest)
         if base is not None:
@@ -296,7 +296,6 @@ class TenantSession:
         "tail_epoch",
         "tail",
         "tail_records",
-        "prefetched",
         "dirty",
     )
 
@@ -308,7 +307,6 @@ class TenantSession:
         self.tail_epoch = 0
         self.tail: Optional[JournalWriter] = None
         self.tail_records = 0
-        self.prefetched = False
         #: whether the machine executed anything since admission — a
         #: clean tenant re-parks without re-normalizing, so a
         #: park -> hydrate -> park cycle with no call in between is
@@ -336,8 +334,8 @@ class SessionPool:
     """The LRU live-slot pool of one worker shard.
 
     Owns tenant admission (create / hydrate), LRU eviction with park,
-    the per-shard slice of the parked store, prefetching, and the
-    cumulative per-shard counters the gateway cross-checks.
+    the per-shard slice of the parked store, and the cumulative
+    per-shard counters the gateway cross-checks.
     """
 
     def __init__(
@@ -353,16 +351,11 @@ class SessionPool:
         self.shard = shard
         #: user -> TenantSession, least-recently-used first
         self.live: "OrderedDict[str, TenantSession]" = OrderedDict()
-        #: users parked by this pool, most recently parked first — the
-        #: prefetcher's prediction list
-        self.recently_parked: "OrderedDict[str, None]" = OrderedDict()
         self.calls = 0
         self.total = MetricsSnapshot.zero()
         self.counters: Dict[str, int] = {
             "created": 0,
             "hydrated": 0,
-            "prefetch_hydrated": 0,
-            "prefetch_hits": 0,
             "parks": 0,
             "evictions": 0,
             "cold_calls": 0,
@@ -418,12 +411,23 @@ class SessionPool:
             if name in MetricsSnapshot.ARCHITECTURAL
         }
         snap = snapshot_machine(engine.machine, extra=extra)
-        base = self.store.base_for_shape(self._shape_key(snap), snap)
-        delta = delta_snapshot(snap, base)
-        blob = encode_delta(delta, compress=True)
+        # the one full encoding of a park: it gives the snapshot's
+        # digest and its size
+        full = canonical_bytes(snap)
+        digest = hashlib.sha256(full).hexdigest()
+        base, base_digest = self.store.base_for_shape(
+            self._shape_key(snap), snap, digest
+        )
+        delta = delta_snapshot(
+            snap, base, base_digest=base_digest, digest=digest
+        )
+        body = encode_delta(delta)
+        blob = zlib.compress(body, DEFAULT_COMPRESS_LEVEL)
         self.store.put(tenant.user, blob)
         if tenant.tail is not None:
-            tenant.tail.close()
+            # no fsync: the blob just synced holds every call this tail
+            # journaled, and the fence below deletes the file
+            tenant.tail.close(sync=False)
             tenant.tail = None
         if bump_epoch:
             # the parked image includes every journaled call: fence the
@@ -437,13 +441,9 @@ class SessionPool:
         tenant.tail_epoch = epoch
         tenant.tail_records = 0
         self.counters["parks"] += 1
-        self.counters["park_delta_bytes"] += len(canonical_bytes(delta))
-        self.counters["park_full_bytes"] += len(canonical_bytes(snap))
+        self.counters["park_delta_bytes"] += len(body)
+        self.counters["park_full_bytes"] += len(full)
         self.counters["park_stored_bytes"] += len(blob)
-        self.recently_parked[tenant.user] = None
-        self.recently_parked.move_to_end(tenant.user, last=False)
-        while len(self.recently_parked) > 4 * self.config.max_live:
-            self.recently_parked.popitem(last=True)
         return blob
 
     def park_user(self, user: str) -> bool:
@@ -470,8 +470,11 @@ class SessionPool:
         if blob is None:
             return None
         delta = decode_delta(blob)
-        base = self.store.base_by_digest(delta["base_sha256"])
-        snap = apply_delta(base, delta)
+        # the store holds the base under the digest the delta names, so
+        # the one full encoding here hashes the rebuilt snapshot
+        base_digest = delta["base_sha256"]
+        base = self.store.base_by_digest(base_digest)
+        snap = apply_delta(base, delta, base_digest=base_digest)
         engine = GateCallEngine.from_snapshot(snap)
         tenant = TenantSession(user, engine)
         session = snap["extra"].get("session", {})
@@ -499,50 +502,18 @@ class SessionPool:
             self.park(victim)
             self.counters["evictions"] += 1
 
-    def _admit(self, user: str, prefetch: bool = False) -> Tuple[
-        Optional[TenantSession], str
-    ]:
+    def _admit(self, user: str) -> Tuple[TenantSession, str]:
         """Bring ``user`` live; returns (tenant, "hydrated"|"created")."""
         self._evict_to_fit()
         tenant = self._hydrate(user)
         how = "hydrated"
         if tenant is None:
-            if prefetch:
-                return None, "absent"
             engine = GateCallEngine(Machine(self.config.machine))
             tenant = TenantSession(user, engine)
             how = "created"
         self.live[user] = tenant
-        self.counters[
-            "prefetch_hydrated" if prefetch and how == "hydrated" else how
-        ] += 1
+        self.counters[how] += 1
         return tenant, how
-
-    def prefetch(self, limit: Optional[int] = None) -> int:
-        """Hydrate up to ``limit`` predicted-next tenants into free slots.
-
-        Prediction is most-recently-parked first — the tenants likeliest
-        to be revisited.  Only free slots are used: prefetching never
-        evicts live work.
-        """
-        budget = self.config.prefetch_batch if limit is None else limit
-        hydrated = 0
-        candidates = [
-            user for user in self.recently_parked if user not in self.live
-        ]
-        for user in candidates:
-            if hydrated >= budget or len(self.live) >= self.config.max_live:
-                break
-            tenant, how = self._admit(user, prefetch=True)
-            if tenant is None:
-                self.recently_parked.pop(user, None)
-                continue
-            tenant.prefetched = True
-            # freshly prefetched tenants sit at the LRU head so real
-            # traffic evicts them before anything a call touched
-            self.live.move_to_end(user, last=False)
-            hydrated += 1
-        return hydrated
 
     # -- execute ------------------------------------------------------------
 
@@ -571,10 +542,6 @@ class SessionPool:
             tenant, admitted = self._admit(user)
         else:
             self.live.move_to_end(user)
-        prefetch_hit = tenant.prefetched
-        if prefetch_hit:
-            tenant.prefetched = False
-            self.counters["prefetch_hits"] += 1
         warm = tenant.attach_is_warm()
         cached = (
             tenant.recent.get(call_id) if call_id is not None else None
@@ -604,7 +571,9 @@ class SessionPool:
         out["session"] = {
             "cold": not warm,
             "admitted": admitted,
-            "prefetch_hit": prefetch_hit,
+            # no prefetcher warms a slot ahead of demand; the field
+            # stays for clients that still read it
+            "prefetch_hit": False,
         }
         return out
 
@@ -664,10 +633,10 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
     Same result contract as :func:`repro.serve.workers
     .execute_gate_call`, plus a ``session`` block (``cold`` — this call
     paid the cold-attach metric vector; ``admitted`` — how the tenant
-    reached its slot; ``prefetch_hit``).  ``worker_calls`` and
-    ``worker_total`` are the *pool's* cumulative figures: they keep
-    growing across evictions and hydrations, so the gateway's
-    cross-check spans the whole shard, not one tenant.
+    reached its slot; ``prefetch_hit`` — always false).
+    ``worker_calls`` and ``worker_total`` are the *pool's* cumulative
+    figures: they keep growing across evictions and hydrations, so the
+    gateway's cross-check spans the whole shard, not one tenant.
     """
     shard = int(job.get("shard", 0))
     pool = _pool(shard)
@@ -681,7 +650,7 @@ def execute_session_call(job: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def session_control(op: Dict[str, Any]) -> Dict[str, Any]:
-    """Shard maintenance operations (stats / park / prefetch / drain)."""
+    """Shard maintenance operations (stats / park / drain)."""
     shard = int(op.get("shard", 0))
     pool = _pool(shard)
     kind = op.get("op")
@@ -689,8 +658,6 @@ def session_control(op: Dict[str, Any]) -> Dict[str, Any]:
         return pool.stats()
     if kind == "park":
         return {"parked": pool.park_user(op["user"])}
-    if kind == "prefetch":
-        return {"hydrated": pool.prefetch(op.get("limit"))}
     if kind == "park_all":
         return {"parked": pool.park_all()}
     raise ConfigurationError(f"unknown session op {kind!r}")

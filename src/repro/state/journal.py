@@ -27,8 +27,8 @@ from corruption in the committed prefix.  The rules, enforced by
 :class:`JournalWriter` truncates a torn tail on open, then appends;
 ``fsync_every`` batches the fsync so the gateway can trade a bounded
 loss window (at most ``fsync_every - 1`` acknowledged calls) for
-throughput.  The gateway's recovery protocol is at-least-once, so the
-trade is availability, not correctness.
+throughput.  Those calls were already answered, so the gateway's retry
+of in-flight calls does not recover them.
 """
 
 from __future__ import annotations
@@ -170,13 +170,16 @@ class JournalWriter:
         self.last_seq = records[-1]["seq"] if records else 0
         self._handle = open(path, "r+b" if data else "wb")
         if not data:
+            # no fsync: a file with no records loses nothing, and the
+            # first sync makes the header durable with them
             self._handle.write(MAGIC)
             good_length = len(MAGIC)
         elif good_length < len(data):
+            # the torn bytes are gone for good before anything follows
             self._handle.truncate(good_length)
+            os.fsync(self._handle.fileno())
         self._handle.seek(good_length)
         self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def append(self, record: Dict[str, Any]) -> int:
         """Append one record; returns the sequence number it received.
@@ -202,11 +205,14 @@ class JournalWriter:
         os.fsync(self._handle.fileno())
         self._pending_syncs = 0
 
-    def close(self) -> None:
-        """Sync and close the file (idempotent)."""
+    def close(self, sync: bool = True) -> None:
+        """Sync (unless ``sync`` is false) and close the file
+        (idempotent).  Skip the sync only for a journal whose records
+        are already durable elsewhere."""
         if self._handle.closed:
             return
-        self.sync()
+        if sync:
+            self.sync()
         self._handle.close()
 
     def __enter__(self) -> "JournalWriter":

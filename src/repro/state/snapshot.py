@@ -724,25 +724,34 @@ def _apply_node(base: Any, node: Optional[Dict[str, Any]]) -> Any:
 
 
 def delta_snapshot(
-    snap: Dict[str, Any], base: Dict[str, Any]
+    snap: Dict[str, Any],
+    base: Dict[str, Any],
+    base_digest: Optional[str] = None,
+    digest: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Encode ``snap`` as a delta against ``base``.
 
     Returns a JSON-serializable envelope carrying the base's digest
     (so hydration can pick the right base image), the reconstructed
-    snapshot's digest, and the edit tree.
+    snapshot's digest, and the edit tree.  A caller that already holds
+    ``base_digest`` or ``snap``'s ``digest`` passes it in, and that
+    snapshot is not encoded again.
     """
     return {
         "format": DELTA_FORMAT,
         "version": DELTA_VERSION,
-        "base_sha256": snapshot_digest(base),
-        "sha256": snapshot_digest(snap),
+        "base_sha256": (
+            snapshot_digest(base) if base_digest is None else base_digest
+        ),
+        "sha256": snapshot_digest(snap) if digest is None else digest,
         "delta": _diff_node(base, snap),
     }
 
 
 def apply_delta(
-    base: Dict[str, Any], delta: Dict[str, Any]
+    base: Dict[str, Any],
+    delta: Dict[str, Any],
+    base_digest: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Reconstruct the full snapshot ``delta`` encodes against ``base``.
 
@@ -750,6 +759,11 @@ def apply_delta(
     read-only (restore never mutates a snapshot dict).  Raises
     :class:`~repro.errors.SnapshotError` on a format mismatch, a wrong
     base image, or a reconstruction that fails its integrity hash.
+
+    ``base_digest`` is the digest the caller already knows ``base`` by
+    (a store that verified it on load), so the base is not encoded
+    again.  The rebuilt snapshot is always hashed: a base that was
+    altered after it was digested still fails that check.
     """
     if (
         not isinstance(delta, dict)
@@ -761,7 +775,8 @@ def apply_delta(
             f"snapshot delta has version {delta.get('version')!r}; "
             f"this build reads version {DELTA_VERSION}"
         )
-    base_digest = snapshot_digest(base)
+    if base_digest is None:
+        base_digest = snapshot_digest(base)
     if base_digest != delta.get("base_sha256"):
         raise SnapshotError(
             f"delta was taken against base {delta.get('base_sha256')!r}, "

@@ -461,11 +461,36 @@ class TestDrainAndStats:
         run(with_gateway(config, body))
 
 
+    def test_faulted_calls_count_as_answered(self):
+        """Every call of an attack run faults as expected.  Those
+        faults are answers: they count toward the client's throughput
+        and the gateway's served total."""
+
+        async def body(gateway):
+            report = await run_load(
+                "127.0.0.1",
+                gateway.port,
+                sessions=3,
+                calls=2,
+                program="attack",
+                args={"family": "gate_skip", "seed": 5},
+                expect_fault="ACV_NOT_GATE",
+            )
+            assert report.check() == []
+            assert report.ok == 0
+            assert report.answered == report.expected_faults == 6
+            assert report.throughput == 6 / report.elapsed_seconds
+            assert gateway.counters.completed == 0
+            assert gateway.counters.answered == 6
+
+        run(with_gateway(gateway_config(), body))
+
+
 class TestParkVerb:
     """``park``: write a live session tenant to the store now."""
 
     def session_config(self, **overrides):
-        return gateway_config(max_sessions=4, prefetch_interval=0, **overrides)
+        return gateway_config(max_sessions=4, **overrides)
 
     def test_park_then_hydrate_matches_a_never_parked_twin(self):
         async def body(gateway):

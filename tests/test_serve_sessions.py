@@ -30,6 +30,7 @@ import threading
 
 import pytest
 
+from repro.errors import SnapshotError
 from repro.serve.sessions import (
     SessionConfig,
     SessionPool,
@@ -42,6 +43,7 @@ from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.workers import GateCallEngine
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
+from repro.state import snapshot
 from repro.state.snapshot import apply_delta, canonical_bytes, decode_delta
 
 #: host-tier knob combinations for the hydrate-equivalence matrix
@@ -333,64 +335,113 @@ class TestBaseElection:
         monkeypatch.setattr(os, "link", spy_link)
         elected = {}
 
+        def elect(store, candidate):
+            return store.base_for_shape(
+                "shape", candidate, snapshot.snapshot_digest(candidate)
+            )
+
         def elect_winner():
-            elected["winner"] = winner.base_for_shape("shape", {"by": "w"})
+            elected["winner"] = elect(winner, {"by": "w"})
 
         thread = threading.Thread(target=elect_winner)
         thread.start()
         try:
             assert visible.wait(10)
-            elected["loser"] = loser.base_for_shape("shape", {"by": "l"})
+            elected["loser"] = elect(loser, {"by": "l"})
         finally:
             resume.set()
             thread.join(10)
-        assert elected == {"winner": {"by": "w"}, "loser": {"by": "w"}}
+        digest = snapshot.snapshot_digest({"by": "w"})
+        assert elected == {
+            "winner": ({"by": "w"}, digest),
+            "loser": ({"by": "w"}, digest),
+        }
 
 
-class TestPrefetch:
-    def test_prefetch_fills_free_slots_most_recent_first(self, tmp_path):
-        pool = make_pool(tmp_path, max_live=3)
+class TestParkHydrateWork:
+    """A visit's park and hydrate each encode the full snapshot once,
+    and only the parked blob is fsynced."""
+
+    @staticmethod
+    def visit_pool(tmp_path):
+        """a and b parked and hydrated once each, at the default
+        ``fsync_every``; the next call to b is one whole visit: it parks
+        a and hydrates b."""
+        pool = SessionPool(
+            SessionConfig(max_live=1, store_dir=str(tmp_path / "store"))
+        )
+        pool.execute(job("a", "a0"))
+        pool.execute(job("b", "b0"))
+        pool.execute(job("a", "a1"))
+        return pool
+
+    def test_a_visit_encodes_the_full_snapshot_twice(
+        self, tmp_path, monkeypatch
+    ):
+        pool = self.visit_pool(tmp_path)
+        digest = decode_delta(pool.store.get("b"))["base_sha256"]
+        full = len(canonical_bytes(pool.store.base_by_digest(digest)))
+        sizes = []
+        encode = snapshot._canonical
+
+        def spy(snap):
+            out = encode(snap)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(snapshot, "_canonical", spy)
+        out = pool.execute(job("b", "b1"))
+        assert out["session"]["admitted"] == "hydrated"
+        # a delta is a tenth of a full snapshot; half of one separates
+        # the two
+        assert len([size for size in sizes if size >= full // 2]) == 2
+
+    def test_a_visit_makes_one_fsync(self, tmp_path, monkeypatch):
+        pool = self.visit_pool(tmp_path)
+        fsyncs = []
+        sync = os.fsync
+
+        def spy(fd):
+            fsyncs.append(fd)
+            return sync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        pool.execute(job("b", "b1"))
+        assert len(fsyncs) == 1
+
+    def test_hydrate_against_an_altered_base_fails(self, tmp_path):
+        pool = self.visit_pool(tmp_path)
+        digest = decode_delta(pool.store.get("b"))["base_sha256"]
+        base = pool.store.base_by_digest(digest)
+        # tenants that share a base share its config, so no delta
+        # carries it: the rebuilt snapshot takes the altered value
+        base["config"]["memory_words"] += 1
+        with pytest.raises(SnapshotError, match="integrity"):
+            pool.execute(job("b", "b1"))
+
+    def test_park_counters_are_pinned(self, tmp_path):
+        """Park sizes for a fixed three-tenant scenario.  The counters
+        are read off the bytes a park encodes anyway, and must equal
+        what encoding the snapshot and the delta on their own gives."""
+        pool = make_pool(tmp_path, max_live=1)
         for user in ("a", "b", "c"):
             pool.execute(job(user, f"{user}0"))
+        pool.execute(job("a", "a1"))
         pool.park_all()
-        assert pool.prefetch(limit=2) == 2
-        # c was parked last (park_all drains LRU-first), so it is the
-        # best prediction; never more than the free-slot budget
-        assert list(pool.live) == ["b", "c"]
-        assert pool.counters["prefetch_hydrated"] == 2
-
-    def test_prefetch_never_evicts_live_work(self, tmp_path):
-        pool = make_pool(tmp_path, max_live=1)
-        pool.execute(job("a", "a0"))
-        pool.execute(job("b", "b0"))  # parks a; b live, pool full
-        assert pool.prefetch(limit=4) == 0
-        assert list(pool.live) == ["b"]
-
-    def test_prefetched_tenant_counts_a_hit_then_behaves_normally(
-        self, tmp_path
-    ):
-        m_cold, _ = reference_vectors()
-        pool = make_pool(tmp_path, max_live=2)
-        pool.execute(job("a", "a0"))
-        pool.park_user("a")
-        assert pool.prefetch(limit=1) == 1
-        out = pool.execute(job("a", "a1"))
-        assert out["session"]["prefetch_hit"] is True
-        # prefetch hydration is exact: the call still pays (exactly)
-        # the cold vector, it just pays it without the hydrate stall
-        assert out["session"]["cold"] is True
-        assert out["metrics"] == m_cold
-        assert pool.counters["prefetch_hits"] == 1
-
-    def test_prefetched_tenants_are_first_out(self, tmp_path):
-        pool = make_pool(tmp_path, max_live=2)
-        pool.execute(job("a", "a0"))
-        pool.park_user("a")
-        pool.execute(job("b", "b0"))
-        assert pool.prefetch(limit=1) == 1  # a re-enters at the LRU head
-        assert list(pool.live) == ["a", "b"]
-        pool.execute(job("c", "c0"))  # evicts the prefetched a, not b
-        assert list(pool.live) == ["b", "c"]
+        assert {
+            name: pool.counters[name]
+            for name in (
+                "parks",
+                "park_full_bytes",
+                "park_delta_bytes",
+                "park_stored_bytes",
+            )
+        } == {
+            "parks": 4,
+            "park_full_bytes": 37845,
+            "park_delta_bytes": 2164,
+            "park_stored_bytes": 1116,
+        }
 
 
 class TestSessionShape:
@@ -407,7 +458,6 @@ class TestSessionShape:
             default_policy=RingPolicy(rate=None, max_pending=64),
             max_sessions=2,
             session_store_dir=str(tmp_path / "store"),
-            prefetch_interval=0,
             machine_profile="baseline645",
             hardening=("auth_return_stack",),
         )

@@ -473,7 +473,6 @@ class TestSessionDrain:
             workers=2,
             max_sessions=16,
             session_store_dir=str(tmp_path / "store"),
-            prefetch_interval=0,
         )
 
         async def visit_all():
