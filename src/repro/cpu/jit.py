@@ -62,6 +62,23 @@ covered by the ``valid`` flip.  Wholesale invalidations (DBR loads,
 ``invalidate_sdw``) and SDW-cache evictions fan out to this cache from
 the processor exactly as they do to the fast-path caches.
 
+**Trace library.**  A compiled trace is a decision folded against one
+machine's protection state, so it may serve every machine whose state
+matches what it was folded against.  A :class:`TraceLibrary` holds,
+per recording, the :class:`TraceTemplate` compiled from it: the code
+object plus everything the compiler read from its machine — the cost
+model, ring mode, authenticated-return-stack presence and stack rule,
+the DBR stack segment of each crossing it folded, the pinned SDWs (by
+value) and the PTLB pairs it required.  A cache attached to a library
+(the session pool attaches its shard's to every tenant) still counts
+heads and records exactly as before, but then *adopts* a template that
+binds to its machine instead of compiling: a fresh namespace with its
+own SDW objects and its own :class:`CompiledTrace`, so validity and
+self-modifying-code invalidation stay per machine.  Because only the
+compilation is replaced, an adopter installs the very trace it would
+have compiled, at the same moment, and every counter it reports — host
+tiers included — is what compiling would have given.
+
 **Parity backstop.**  With ``REPRO_JIT_PARITY=1`` in the environment the
 tier turns on wherever the fast path is on and every trace execution is
 co-executed against the reference interpreter: run the trace with a
@@ -76,6 +93,8 @@ tier on or off.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
+from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
 from ..core.effective import effective_ring_after_indirect
@@ -363,11 +382,12 @@ class _Compiler:
         self.head = (key[2], key[0], key[1])  # (ring, segno, wordno)
         self.body: List[str] = []
         self.consts: Dict[str, object] = {}
-        self._const_names: Dict[int, str] = {}  # id(obj) -> name
         self._exit_names: Dict[tuple, str] = {}
         self.sdw_guards: Dict[int, object] = {}  # segno -> SDW
         self.pair_guards: Dict[tuple, int] = {}  # (segno, ring, group) -> segno
         self.code_words: Dict[int, Dict[int, int]] = {}
+        #: ring -> the DBR stack segment a folded crossing into it uses
+        self.stacks: Dict[int, int] = {}
         self.prs_used: set = set()
         #: PRs some step of the path loads (EAP, and CALL's PR0)
         self.prs_written = {
@@ -397,19 +417,18 @@ class _Compiler:
     # -- constants and guards ------------------------------------------------
 
     def sdw_const(self, segno: int):
-        """Pin ``segno``'s SDW by identity; returns its constant name."""
+        """Pin ``segno``'s SDW by identity; returns its constant name.
+
+        The name is bound when the trace is instantiated (see
+        :meth:`TraceTemplate.instantiate`), not folded into the code.
+        """
         sdw = self.proc.sdw_cache._entries.get(segno)
         if sdw is None or sdw.paged:
             raise _Abort(f"segment {segno} has no usable cached SDW")
         held = self.sdw_guards.setdefault(segno, sdw)
         if held is not sdw:  # cannot happen; defensive
             raise _Abort("SDW identity changed during compilation")
-        name = self._const_names.get(id(sdw))
-        if name is None:
-            name = f"S{len(self._const_names)}"
-            self._const_names[id(sdw)] = name
-            self.consts[name] = sdw
-        return name
+        return f"S{segno}"
 
     def pair(self, segno: int, ring: int, group: str):
         """Require a live PTLB entry for ``(segno, ring, group)``.
@@ -683,6 +702,7 @@ class _Compiler:
             stack = None  # the caller's stack: p6.segno at run time
         else:
             stack = proc.dbr.stack_segno(new_ring)
+            self.stacks[new_ring] = stack
         self.prs_used.add(0)
         self.body.append(
             f"p0.segno = {'p6.segno' if stack is None else stack}; "
@@ -758,7 +778,7 @@ class _Compiler:
 
     # -- assembly ------------------------------------------------------------
 
-    def compile(self) -> CompiledTrace:
+    def compile(self) -> "TraceTemplate":
         it_expr = "it" if self.cyclic else "0"
         for step in self.steps:
             if self.pos != (step.ring, step.segno, step.wordno):
@@ -782,24 +802,25 @@ class _Compiler:
         if self.cyclic and self.pos != self.head:
             raise _Abort("cyclic recording does not close at its head")
         source = self._assemble(it_expr)
-        namespace = dict(self.consts)
-        namespace["_X"] = _finish
-        namespace["WM"] = WORD_MASK
-        namespace["HM"] = HALF_MASK
         segno, wordno, ring = self.key
-        code = compile(source, f"<jit {segno}:{wordno} r{ring}>", "exec")
-        exec(code, namespace)
-        words = {
-            segno: set(per_seg) for segno, per_seg in self.code_words.items()
-        }
         last = self.steps[-1]
-        closing = (last.segno, last.wordno, last.ring) if self.cyclic else None
-        trace = CompiledTrace(
-            self.key, namespace["_trace"], len(self.steps), self.cyclic,
-            closing, words, source,
+        return TraceTemplate(
+            key=self.key,
+            code=compile(source, f"<jit {segno}:{wordno} r{ring}>", "exec"),
+            consts=self.consts,
+            pins=tuple(sorted(self.sdw_guards.items())),
+            pairs=tuple(sorted(self.pair_guards)),
+            stacks=tuple(sorted(self.stacks.items())),
+            machine=_machine_key(self.proc),
+            length=len(self.steps),
+            cyclic=self.cyclic,
+            closing=(last.segno, last.wordno, last.ring) if self.cyclic else None,
+            words={
+                segno: set(per_seg)
+                for segno, per_seg in self.code_words.items()
+            },
+            source=source,
         )
-        namespace["TR"] = trace
-        return trace
 
     def _prologue(self) -> List[str]:
         lines = [
@@ -809,14 +830,12 @@ class _Compiler:
         ]
         if self.pair_guards:
             lines.append("    ac = proc.access_cache._entries")
-        for i, (segno, sdw) in enumerate(sorted(self.sdw_guards.items())):
-            name = self._const_names[id(sdw)]
-            lines.append(f"    if se.get({segno}) is not {name}: return 0")
+        for segno in sorted(self.sdw_guards):
+            lines.append(f"    if se.get({segno}) is not S{segno}: return 0")
         for pair in sorted(self.pair_guards):
-            name = self._const_names[id(self.sdw_guards[pair[0]])]
             pname = f"P{len([k for k in self.consts if k.startswith('P')])}"
             self.consts[pname] = pair
-            lines.append(f"    if ac.get({pname}) is not {name}: return 0")
+            lines.append(f"    if ac.get({pname}) is not S{pair[0]}: return 0")
         lines.append("    mem = proc.memory._words")
         for segno in sorted(self.code_words):
             sdw = self.sdw_guards[segno]
@@ -904,11 +923,164 @@ def _runs(per_seg: Dict[int, int]):
         yield run_start, run
 
 
-def _compile(proc, key, steps, cyclic) -> Optional[CompiledTrace]:
+def _compile(proc, key, steps, cyclic) -> Optional["TraceTemplate"]:
     try:
         return _Compiler(proc, key, steps, cyclic).compile()
     except _Abort:
         return None
+
+
+# ---------------------------------------------------------------------------
+# templates and the trace library
+# ---------------------------------------------------------------------------
+
+
+def _machine_key(proc) -> Optional[tuple]:
+    """The whole-machine settings a compilation folds, or None.
+
+    The cost model, ring mode, authenticated-return-stack presence and
+    stack rule.  A ``ring_domains`` machine has no key: its domain
+    check runs before the PTLB consult and depends on the *executing*
+    segment, which no guard of a trace captures, so such a machine
+    keeps its traces to itself.
+    """
+    if proc.domains is not None:
+        return None
+    return (
+        tuple(vars(proc.cost).values()),
+        proc.hardware_rings,
+        proc.auth_stack is None,
+        proc.stack_rule,
+    )
+
+
+def _signature(steps: List[_Step], cyclic: bool) -> tuple:
+    """Everything a recording hands the compiler, as a hashable value:
+    per step its position, code word, branch outcome, pointer register,
+    indirect word and successor."""
+    return (cyclic,) + tuple(
+        (s.ring, s.segno, s.wordno, s.word, s.taken, s.pr, s.iword, s.post)
+        for s in steps
+    )
+
+
+@dataclass(eq=False)
+class TraceTemplate:
+    """One compiled path, detached from the machine that compiled it.
+
+    Holds the code object plus every input the compiler read from its
+    machine besides the recording: the whole-machine settings
+    (:func:`_machine_key`), the DBR stack segment of each crossing it
+    folded (a constant no guard re-checks), the SDW it pinned per
+    segment, and the PTLB pairs it required.  That set is closed — the
+    compiler reads nothing else — so a machine that made the same
+    recording and matches all of it would compile this very code
+    (:meth:`bind`).
+    """
+
+    key: tuple  # (segno, wordno, ring)
+    code: CodeType
+    consts: Dict[str, object]
+    pins: tuple  # ((segno, SDW), ...), bound to S<segno>
+    pairs: tuple  # ((segno, ring, group), ...)
+    stacks: tuple  # ((ring, stack segno), ...)
+    machine: Optional[tuple]  # _machine_key of the compiling machine
+    length: int
+    cyclic: bool
+    closing: Optional[tuple]
+    words: Dict[int, set]
+    source: str
+
+    def bind(self, proc) -> Optional[List[object]]:
+        """``proc``'s own SDW for each pin, or None on any mismatch.
+
+        Pinned SDWs compare by value (they are frozen dataclasses), and
+        the PTLB must hold each one for every folded pair — where the
+        compiler would have given up, adoption refuses too.
+        """
+        if self.machine is None or _machine_key(proc) != self.machine:
+            return None
+        dbr = proc.dbr
+        for ring, stack in self.stacks:
+            if dbr.stack_segno(ring) != stack:
+                return None
+        entries = proc.sdw_cache._entries
+        live = []
+        for segno, sdw in self.pins:
+            held = entries.get(segno)
+            if held is None or held != sdw:
+                return None
+            live.append(held)
+        ptlb = proc.access_cache._entries
+        for pair in self.pairs:
+            if ptlb.get(pair) is not entries[pair[0]]:
+                return None
+        return live
+
+    def instantiate(self, sdws) -> CompiledTrace:
+        """A fresh install of this code with ``sdws`` bound to the pins.
+
+        Each install gets its own namespace and :class:`CompiledTrace`:
+        ``valid``, self-modifying-code invalidation and ``_by_seg``
+        membership belong to one machine's cache.
+        """
+        namespace = dict(self.consts)
+        namespace["_X"] = _finish
+        namespace["WM"] = WORD_MASK
+        namespace["HM"] = HALF_MASK
+        for (segno, _), sdw in zip(self.pins, sdws):
+            namespace[f"S{segno}"] = sdw
+        exec(self.code, namespace)
+        trace = CompiledTrace(
+            self.key, namespace["_trace"], self.length, self.cyclic,
+            self.closing, self.words, self.source,
+        )
+        namespace["TR"] = trace
+        return trace
+
+
+#: Ceiling on one library's templates (then a wholesale clear, like
+#: ``MAX_TRACES``).
+MAX_LIBRARY_TEMPLATES = 1024
+
+
+class TraceLibrary:
+    """Compiled traces shared by the machines of one session shard.
+
+    One template per recording (:func:`_signature`), the newest.  A
+    cache attached to the library publishes every template it compiles
+    and, having recorded a path, adopts the template compiled from the
+    same recording when :meth:`TraceTemplate.bind` accepts it, instead
+    of compiling.
+    """
+
+    def __init__(self):
+        self._templates: Dict[tuple, TraceTemplate] = {}
+        #: traces installed from the library, all machines together
+        self.adopted = 0
+
+    def __len__(self) -> int:
+        return len(self._templates)
+
+    def add(self, signature: tuple, template: TraceTemplate) -> None:
+        """Publish ``template`` (a keyless machine's stays private)."""
+        if template.machine is None:
+            return
+        if len(self._templates) >= MAX_LIBRARY_TEMPLATES:
+            self._templates.clear()
+        self._templates[signature] = template
+
+    def adopt(self, proc, signature: tuple) -> Optional[CompiledTrace]:
+        """A fresh install for ``proc`` of the template compiled from
+        the same recording, if it binds to ``proc``; else None."""
+        template = self._templates.get(signature)
+        if template is None:
+            return None
+        sdws = template.bind(proc)
+        if sdws is None:
+            return None
+        self.adopted += 1
+        return template.instantiate(sdws)
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +1109,14 @@ class TraceCache:
         self.misses = 0
         self.invalidations = 0
         self.compiled = 0
+        #: traces installed from the library instead of compiled
+        self.adopted = 0
         #: instructions retired inside compiled traces (host diagnostic)
         self.instructions = 0
         #: set by a wholesale flush; read and cleared when a run starts
         self.flushed = False
+        #: the session shard's shared :class:`TraceLibrary`, if any
+        self.library: Optional[TraceLibrary] = None
 
     # -- dispatch ------------------------------------------------------------
 
@@ -958,30 +1134,60 @@ class TraceCache:
         self._hot[key] = count
         return count >= threshold
 
-    def record_and_compile(self, proc, budget: int) -> int:
+    def record(self, proc, budget: int) -> int:
         """Record the path at the current IPR and install its trace.
 
         Returns the steps consumed — the recording steps through the
         ordinary interpreter, so the instructions it covers are
-        executed (and charged) exactly regardless of the outcome.
+        executed (and charged) exactly regardless of the outcome.  With
+        a library attached, a trace another machine compiled from the
+        same recording is adopted when this machine matches what it
+        was compiled against; otherwise the path is compiled.  Either
+        way the installed trace is the one this machine would compile,
+        so every counter, host tiers included, is what compiling would
+        have given.
         """
         ipr = proc.registers.ipr
         key = (ipr.segno, ipr.wordno, ipr.ring)
         steps, cyclic, consumed = _record(proc, budget)
-        trace = None
-        if steps and (cyclic or len(steps) >= MIN_LINEAR_LEN):
-            trace = _compile(proc, key, steps, cyclic)
-        if trace is None:
-            failures = self._fails.get(key, 0) + 1
-            self._fails[key] = failures
-            self._hot[key] = (
-                GIVEN_UP
-                if failures >= MAX_COMPILE_FAILURES
-                else 1 - REBUILD_BACKOFF
-            )
-        else:
-            self.install(trace)
+        if not steps or not (cyclic or len(steps) >= MIN_LINEAR_LEN):
+            self._failed(key)
+            return consumed
+        signature = None
+        if self.library is not None:
+            signature = _signature(steps, cyclic)
+            trace = self.library.adopt(proc, signature)
+            if trace is not None:
+                # not a compilation: no source text, no compile()
+                self.install(trace)
+                self.adopted += 1
+                return consumed
+        self.record_and_compile(proc, key, steps, cyclic, signature)
         return consumed
+
+    def record_and_compile(self, proc, key, steps, cyclic, signature) -> None:
+        """Compile one recorded path and install its trace; publish it
+        to the library under ``signature`` when there is one.
+
+        Only compilations run here (an adoption does not), which is
+        what the end-to-end tracer's ``cpu.compile`` span counts.
+        """
+        template = _compile(proc, key, steps, cyclic)
+        if template is None:
+            self._failed(key)
+            return
+        self.install(template.instantiate([sdw for _, sdw in template.pins]))
+        self.compiled += 1
+        if signature is not None:
+            self.library.add(signature, template)
+
+    def _failed(self, key: tuple) -> None:
+        """Back off a head whose recording could not be compiled."""
+        failures = self._fails.get(key, 0) + 1
+        self._fails[key] = failures
+        self._hot[key] = (
+            GIVEN_UP if failures >= MAX_COMPILE_FAILURES else 1 - REBUILD_BACKOFF
+        )
 
     def execute(self, proc, trace: CompiledTrace, budget: int) -> int:
         """Run one trace (optionally under the parity backstop)."""
@@ -1070,7 +1276,6 @@ class TraceCache:
         self._traces[trace.key] = trace
         for segno in trace.words:
             self._by_seg.setdefault(segno, set()).add(trace)
-        self.compiled += 1
         self._fails.pop(trace.key, None)
 
     def _drop(self, trace: CompiledTrace) -> None:
@@ -1139,6 +1344,7 @@ class TraceCache:
         self.misses = 0
         self.invalidations = 0
         self.compiled = 0
+        self.adopted = 0
         self.instructions = 0
 
     def stats(self) -> Dict[str, int]:
@@ -1148,6 +1354,7 @@ class TraceCache:
             "misses": self.misses,
             "invalidations": self.invalidations,
             "compiled": self.compiled,
+            "adopted": self.adopted,
             "jit_instructions": self.instructions,
             "entries": len(self._traces),
         }

@@ -652,7 +652,7 @@ class Processor:
                         ) != trace.closing
                         continue
                 elif head and jit.note_dispatch(key, threshold):
-                    remaining -= jit.record_and_compile(self, remaining)
+                    remaining -= jit.record(self, remaining)
                     head = False
                     continue
                 self.step()

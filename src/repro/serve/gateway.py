@@ -924,6 +924,7 @@ class RingGateway:
             "live", "parked", "created", "hydrated", "parks", "evictions",
             "cold_calls", "warm_calls", "deduplicated", "replayed_tail_calls",
             "park_delta_bytes", "park_full_bytes", "park_stored_bytes",
+            "trace_library_entries", "traces_adopted",
         ]
         totals = {
             name: sum(entry.get(name, 0) for entry in shards)

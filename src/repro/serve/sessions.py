@@ -54,6 +54,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
+from ..cpu.jit import TraceLibrary
 from ..errors import ConfigurationError, SnapshotError
 from ..sim.config import MachineConfig
 from ..sim.machine import Machine
@@ -351,6 +352,8 @@ class SessionPool:
         self.shard = shard
         #: user -> TenantSession, least-recently-used first
         self.live: "OrderedDict[str, TenantSession]" = OrderedDict()
+        #: compiled traces every tenant of this shard publishes and adopts
+        self.traces = TraceLibrary()
         self.calls = 0
         self.total = MetricsSnapshot.zero()
         self.counters: Dict[str, int] = {
@@ -511,6 +514,7 @@ class SessionPool:
             engine = GateCallEngine(Machine(self.config.machine))
             tenant = TenantSession(user, engine)
             how = "created"
+        tenant.engine.machine.processor.jit_cache.library = self.traces
         self.live[user] = tenant
         self.counters[how] += 1
         return tenant, how
@@ -590,6 +594,8 @@ class SessionPool:
             "parked": self.store.parked_count(),
             "park_size_ratio": round(delta / full, 6) if full else None,
             **self.counters,
+            "trace_library_entries": len(self.traces),
+            "traces_adopted": self.traces.adopted,
         }
 
 

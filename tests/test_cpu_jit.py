@@ -90,6 +90,7 @@ class TestEngagement:
             "misses": 0,
             "invalidations": 0,
             "compiled": 0,
+            "adopted": 0,
             "jit_instructions": 0,
             "entries": 0,
         }
