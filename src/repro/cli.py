@@ -685,8 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fsync-every",
         type=int,
         default=8,
-        help="fsync the journal every N appends (a crash can lose at "
-        "most N-1 journaled calls; retries absorb that)",
+        help="fsync the journal every N appends; every append reaches "
+        "the kernel at once, so a worker's death loses nothing, and a "
+        "power loss can lose at most N-1 answered calls",
     )
     serve.add_argument(
         "--replicas",

@@ -9,6 +9,10 @@ segments; it is deliberately simple — allocation policy is not part of
 the paper — but it does support freeing, coalescing, and an occupancy
 report, because several tests and the paging ablation need to create and
 destroy many segments.
+
+Every write path raises :attr:`PhysicalMemory.top`, the watermark one
+past the highest address ever written, so whoever scans memory (the
+snapshot writer) stops there: every word at or above ``top`` is zero.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ class PhysicalMemory:
             )
         self.size = size
         self._words: List[int] = [0] * size
+        #: one past the highest address any write path has touched;
+        #: every word at or above it is zero
+        self.top = 0
         #: free list of (addr, size) holes, kept sorted by address
         self._holes: List[Tuple[int, int]] = [(0, size)]
         self.reads = 0
@@ -61,10 +68,15 @@ class PhysicalMemory:
 
     def write(self, addr: int, value: int) -> None:
         """Write one word at absolute address ``addr`` (value truncated)."""
-        if not 0 <= addr < self.size:
-            raise SegmentBoundsError(
-                f"physical write at {addr:#o} outside memory of {self.size} words"
-            )
+        if not 0 <= addr < self.top:
+            # rare: at or above the watermark, check the real bound and
+            # raise the watermark; below it, one compare does both
+            if not 0 <= addr < self.size:
+                raise SegmentBoundsError(
+                    f"physical write at {addr:#o} outside memory of "
+                    f"{self.size} words"
+                )
+            self.top = addr + 1
         self.writes += 1
         self._words[addr] = value & WORD_MASK
 
@@ -86,6 +98,7 @@ class PhysicalMemory:
             )
         self.writes += count
         self._words[addr : addr + count] = [v & WORD_MASK for v in values]
+        self.raise_top(addr + count)
 
     # -- allocation -----------------------------------------------------------
 
@@ -146,6 +159,12 @@ class PhysicalMemory:
                 f"image load [{addr:#o}, +{len(words)}) outside memory"
             )
         self._words[addr : addr + len(words)] = [w & WORD_MASK for w in words]
+        self.raise_top(addr + len(words))
+
+    def raise_top(self, end: int) -> None:
+        """Lift the watermark to ``end`` after a bulk write below it."""
+        if end > self.top:
+            self.top = end
 
     def peek_block(self, addr: int, count: int) -> List[int]:
         """Copy words out without counting traffic (debug/verification)."""

@@ -115,8 +115,9 @@ class GatewayConfig:
     durability_dir: Optional[str] = None
     #: snapshot each worker machine every this many executed calls
     checkpoint_interval: int = 64
-    #: batch journal fsyncs (a crash loses at most ``fsync_every - 1``
-    #: journaled calls, already answered, so no retry brings them back)
+    #: batch journal fsyncs: a power loss can take at most
+    #: ``fsync_every - 1`` answered calls, which no retry brings back;
+    #: a worker's death takes none (each append reaches the kernel)
     fsync_every: int = 8
     #: session virtualization: total live tenant slots across all
     #: worker shards; ``None`` keeps the classic one-machine-per-worker

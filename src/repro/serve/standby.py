@@ -202,22 +202,18 @@ class StandbyServer:
                 ErrorCode.BAD_REQUEST, request_id, detail="ship needs frames"
             )
         applier = self.applier_for(slot)
-        loop = asyncio.get_running_loop()
-
-        def apply_batch() -> Tuple[int, int]:
-            applied = skipped = 0
+        applied = skipped = 0
+        # Applying runs real gate calls on the event loop, one record
+        # per turn: the loop is never held for more than one record,
+        # and no executor hop is paid.  The slot lock serializes
+        # batches (the seq chain admits no concurrency).
+        async with self._locks[slot]:
             for entry in entries:
-                frame = decode_frame(entry)
-                if applier.apply(frame):
+                if applier.apply(decode_frame(entry)):
                     applied += 1
                 else:
                     skipped += 1
-            return applied, skipped
-
-        # Applying executes real gate calls — run off the event loop,
-        # serialized per slot (the seq chain admits no concurrency).
-        async with self._locks[slot]:
-            applied, skipped = await loop.run_in_executor(None, apply_batch)
+                await asyncio.sleep(0)
         return ok_response(
             request_id,
             verb="ship",
@@ -501,7 +497,13 @@ class ReplicaSet:
                             follower.host, follower.port
                         )
                     await self._ship_frames(conn, slot, state, to_send)
-                    continue  # poll again immediately: there may be more
+                    # Re-poll at once after a full window (more is
+                    # likely waiting) and in the final round (the drain
+                    # may have appended while this batch was in flight);
+                    # otherwise wait for the next batch to gather.
+                    window = self.config.ship_every * self.config.ack_window
+                    if len(to_send) >= window or self._stopping.is_set():
+                        continue
                 if self._stopping.is_set():
                     return
                 await asyncio.sleep(self.config.poll_interval)

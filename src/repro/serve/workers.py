@@ -276,11 +276,12 @@ class DurabilityConfig:
 
     ``slots`` bounds how many concurrent workers may claim state
     directories under ``dir``; ``checkpoint_interval`` is in executed
-    calls; ``fsync_every`` batches journal fsyncs.  A crash can lose up
-    to ``fsync_every - 1`` journaled calls, and the gateway's retry
-    does not bring them back: it resubmits only calls still in flight,
-    and these were already answered.  Appends sit in the writer's
-    buffer until a sync, so the process dying is enough to lose them.
+    calls; ``fsync_every`` batches journal fsyncs.  Every append
+    reaches the kernel before the worker answers, so a worker's death
+    loses no journaled call.  A power loss or kernel crash can lose up
+    to ``fsync_every - 1`` of them, and the gateway's retry does not
+    bring them back: it resubmits only calls still in flight, and these
+    were already answered.
     """
 
     dir: str

@@ -24,11 +24,13 @@ from corruption in the committed prefix.  The rules, enforced by
   sequence-number gap — the prefix was tampered with or the medium is
   failing, and replaying around it would silently lose calls.
 
-:class:`JournalWriter` truncates a torn tail on open, then appends;
-``fsync_every`` batches the fsync so the gateway can trade a bounded
-loss window (at most ``fsync_every - 1`` acknowledged calls) for
-throughput.  Those calls were already answered, so the gateway's retry
-of in-flight calls does not recover them.
+:class:`JournalWriter` truncates a torn tail on open, then appends.
+Every append reaches the kernel before it returns (a ``write``, not an
+``fsync``), so the death of the appending process loses no record and
+a tailing follower sees each one at once.  ``fsync_every`` batches only
+the fsync: it bounds what a power loss or kernel crash can take (at
+most ``fsync_every - 1`` records).  Those calls were already answered,
+so the gateway's retry of in-flight calls does not recover them.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class JournalReader:
 class JournalWriter:
     """Append records; recovers from (and truncates) a torn tail on open.
 
-    ``fsync_every`` = N flushes + fsyncs once every N appends (and on
+    Each append is flushed to the kernel before it returns.
+    ``fsync_every`` = N fsyncs once every N appends (and on
     :meth:`sync`/:meth:`close`); 1 is the fully durable default.
     """
 
@@ -193,6 +196,7 @@ class JournalWriter:
         seq = self.last_seq + 1
         framed = _encode_record({**record, "seq": seq})
         self._handle.write(framed)
+        self._handle.flush()
         self.last_seq = seq
         self._pending_syncs += 1
         if self._pending_syncs >= self.fsync_every:

@@ -217,9 +217,10 @@ def snapshot_machine(
     # Comparing a slice with a zero chunk runs at C speed, where any()
     # walks it word by word; the slice is a fresh list, so it is stored
     # as is.  Only a short last chunk, which never equals the zero
-    # chunk, still needs any().
+    # chunk, still needs any().  Chunks at or above the watermark are
+    # all zero, so the scan stops there.
     chunks: Dict[str, List[int]] = {}
-    for start in range(0, memory.size, MEMORY_CHUNK):
+    for start in range(0, memory.top, MEMORY_CHUNK):
         block = memory._words[start : start + MEMORY_CHUNK]
         if block != _ZERO_CHUNK and (
             len(block) == MEMORY_CHUNK or any(block)
@@ -437,6 +438,7 @@ def restore_machine(
     for start_str, block_words in snap["memory"]["chunks"].items():
         start = int(start_str)
         memory._words[start : start + len(block_words)] = list(block_words)
+        memory.raise_top(start + len(block_words))
     memory._holes = [(addr, size) for addr, size in snap["memory"]["holes"]]
 
     # -- users (Machine.__init__ pre-registered "system"; rebuild all) --

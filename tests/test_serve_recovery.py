@@ -25,6 +25,8 @@ import pytest
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.loadgen import run_load
+from repro.sim.metrics import MetricsSnapshot
+from repro.state.journal import read_journal
 from repro.state.recover import JOURNAL_NAME, recover_slot, replay_journal
 
 
@@ -144,6 +146,49 @@ class TestWorkerDeathUnderLoad:
         # scratch on fresh machines, so the client still loses nothing
         assert report.ok == report.sessions * report.calls_per_session
         assert report.stats["gateway"]["recoveries"] >= 1
+
+
+class TestAnsweredCallsSurviveWorkerDeath:
+    def test_sigkill_between_fsyncs_loses_no_answered_call(self, tmp_path):
+        """Every answered call is in the journal when the worker dies,
+        even with the fsync batch still open: process death is not
+        power loss, and the record reached the kernel before the
+        reply left the worker."""
+        answered = 5  # fewer than fsync_every: no fsync since the claim
+        config = gateway_config(
+            workers=1,
+            backend="process",
+            durability_dir=str(tmp_path),
+            fsync_every=8,
+        )
+
+        async def body(gateway):
+            if not gateway.pool.backend.startswith("process"):
+                pytest.skip("process pool unavailable in this environment")
+            report = await run_load(
+                "127.0.0.1",
+                gateway.port,
+                sessions=1,
+                calls=answered,
+                program="compute",
+                args={"n": 100},
+                fetch_stats=False,
+            )
+            (victim,) = gateway.pool.pids()
+            os.kill(victim, signal.SIGKILL)
+            return report
+
+        report = run(with_gateway(config, body))
+        assert report.ok == answered
+        (slot,) = slot_dirs(tmp_path)
+        records = read_journal(str(slot / JOURNAL_NAME))
+        assert len(records) == answered
+        journal_sum = MetricsSnapshot.zero()
+        for record in records:
+            journal_sum = journal_sum.plus(
+                MetricsSnapshot.from_dict(record["result"]["metrics"])
+            )
+        assert journal_sum.architectural() == report.client_metrics
 
 
 class TestGatewayRestart:

@@ -16,6 +16,7 @@ import asyncio
 import json
 import os
 import signal
+import threading
 
 import pytest
 
@@ -32,7 +33,12 @@ from repro.serve.standby import (
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
 from repro.state.recover import JOURNAL_NAME, recover_slot, slot_engine
-from repro.state.replication import JournalTailer, encode_frame, read_frames
+from repro.state.replication import (
+    JournalTailer,
+    ReplicaApplier,
+    encode_frame,
+    read_frames,
+)
 
 
 #: machine shapes the replication tests run over: the default serving
@@ -199,6 +205,61 @@ class TestStandbyServer:
                 await server.stop()
 
         run(body())
+
+    def test_a_long_ship_does_not_hold_the_event_loop(
+        self, durable_state, tmp_path, monkeypatch
+    ):
+        """A standby applies a batch on its event loop one record per
+        turn: a ``stats`` asked mid-batch on another connection is
+        answered before the batch's ack, and no record is applied off
+        the loop's thread."""
+        count = 96  # as many as one 64 KiB ship line holds
+        for job in make_jobs(count):
+            assert "error" not in durable_state.execute(job)
+        frames = JournalTailer(
+            os.path.join(durable_state.slot_dir, JOURNAL_NAME)
+        ).poll()
+        assert len(frames) == count
+        apply_threads = set()
+        real_apply = ReplicaApplier.apply
+
+        def apply(self, frame):
+            apply_threads.add(threading.get_ident())
+            return real_apply(self, frame)
+
+        monkeypatch.setattr(ReplicaApplier, "apply", apply)
+
+        async def body():
+            server = StandbyServer(StandbyConfig(dir=str(tmp_path)))
+            await server.start()
+            shipper = await ReplicaClient.open("127.0.0.1", server.port)
+            observer = await ReplicaClient.open("127.0.0.1", server.port)
+            try:
+                await shipper.send(
+                    {
+                        "verb": "ship",
+                        "slot": 0,
+                        "frames": [encode_frame(f) for f in frames],
+                    }
+                )
+                applied_seq = 0
+                for _ in range(count):
+                    stats = await observer.request({"verb": "stats"})
+                    slot = stats["slots"].get("0")
+                    if slot is not None and slot["applied_seq"] > 0:
+                        applied_seq = slot["applied_seq"]
+                        break
+                ack = await shipper.recv()
+            finally:
+                await shipper.close()
+                await observer.close()
+                await server.stop()
+            return applied_seq, ack
+
+        applied_seq, ack = run(body())
+        assert 0 < applied_seq < count
+        assert ack["ok"] and ack["applied_seq"] == count
+        assert apply_threads == {threading.get_ident()}
 
     def test_replication_config_validation(self):
         with pytest.raises(Exception, match="replicas"):
@@ -386,14 +447,23 @@ class TestReplicatedGateway:
 class TestFailoverUnderLoad:
     """The end-to-end half of the failover-exactness acceptance bar."""
 
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_sigkill_primary_promotes_and_stays_exact(self, tmp_path, shape):
+    @pytest.mark.parametrize(
+        "shape, fsync_every",
+        [
+            pytest.param(shape, fsync_every, id=shape + suffix)
+            for fsync_every, suffix in ((1, ""), (8, "-fsync8"))
+            for shape in sorted(SHAPES)
+        ],
+    )
+    def test_sigkill_primary_promotes_and_stays_exact(
+        self, tmp_path, shape, fsync_every
+    ):
         config = gateway_config(
             workers=2,
             backend="process",
             durability_dir=str(tmp_path),
             checkpoint_interval=8,
-            fsync_every=1,
+            fsync_every=fsync_every,
             replicas=1,
             ship_every=2,
             ack_window=2,

@@ -222,17 +222,29 @@ class TestTailing:
 
 
 class TestFsyncBatching:
-    def test_appends_buffer_until_the_batch_boundary(self, tmp_path):
+    def test_appends_are_readable_at_once_while_fsync_batches(
+        self, tmp_path, monkeypatch
+    ):
         path = tmp_path / "j.bin"
         writer = JournalWriter(str(path), fsync_every=4)
+        fsyncs = []
+        monkeypatch.setattr(
+            "repro.state.journal.os.fsync", lambda fd: fsyncs.append(fd)
+        )
         for i in range(3):
             writer.append({"x": i})
-        # nothing flushed yet: a concurrent reader sees an empty journal
-        assert read_journal(str(path)) == []
+            # each record reaches the kernel before append returns: a
+            # concurrent reader (or a follower's tailer) sees it at once
+            assert [r["x"] for r in read_journal(str(path))] == list(
+                range(i + 1)
+            )
+        assert fsyncs == []
         writer.append({"x": 3})
-        assert [r["x"] for r in read_journal(str(path))] == [0, 1, 2, 3]
+        assert len(fsyncs) == 1  # the batch boundary
         writer.append({"x": 4})
+        assert len(fsyncs) == 1
         writer.sync()
+        assert len(fsyncs) == 2
         assert len(read_journal(str(path))) == 5
         writer.close()
 

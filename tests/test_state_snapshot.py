@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.acl import AclEntry, RingBracketSpec
-from repro.errors import SnapshotError
+from repro.errors import SegmentBoundsError, SnapshotError
 from repro.mem.physical import PhysicalMemory
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
@@ -146,7 +146,7 @@ class TestMemoryScan:
         size, writes = memory_case
         machine = Machine(memory_words=size)
         for addr, value in writes.items():
-            machine.memory._words[addr] = value
+            machine.memory.write(addr, value)
         snap = snapshot_machine(machine)
         assert snap["memory"]["chunks"] == reference_chunks(
             machine.memory._words
@@ -156,6 +156,68 @@ class TestMemoryScan:
         assert snapshot_digest(snapshot_machine(restored)) == (
             snapshot_digest(snap)
         )
+
+
+@st.composite
+def write_paths(draw):
+    """A memory size and a sequence of writes through every write path:
+    ``write``, ``write_block`` and ``load_image``, zeros included."""
+    size = draw(st.integers(1, 12 * MEMORY_CHUNK))
+    words = st.one_of(st.just(0), st.integers(1, WORD_MASK))
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["write", "write_block", "load_image"]))
+        addr = draw(st.integers(0, size - 1))
+        if kind == "write":
+            ops.append((kind, addr, draw(words)))
+        else:
+            values = draw(st.lists(words, max_size=min(size - addr, 300)))
+            ops.append((kind, addr, values))
+    return size, ops
+
+
+def assert_watermark_holds(memory):
+    assert 0 <= memory.top <= memory.size
+    assert not any(memory._words[memory.top :])
+
+
+class TestMemoryWatermark:
+    """Every word at or above ``top`` is zero, whichever path wrote, so
+    the snapshot's scan to ``top`` finds every nonzero chunk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(write_paths())
+    def test_every_write_path_keeps_the_watermark(self, case):
+        size, ops = case
+        machine = Machine(memory_words=size)
+        memory = machine.memory
+        for kind, addr, value in ops:
+            getattr(memory, kind)(addr, value)
+            assert_watermark_holds(memory)
+        snap = snapshot_machine(machine)
+        assert snap["memory"]["chunks"] == reference_chunks(memory._words)
+        restored = restore_machine(snap)
+        assert_watermark_holds(restored.memory)
+        assert restored.memory._words == memory._words
+        assert snapshot_machine(restored)["memory"]["chunks"] == (
+            snap["memory"]["chunks"]
+        )
+
+    def test_the_watermark_tracks_the_highest_write(self):
+        memory = PhysicalMemory(1024)
+        assert memory.top == 0
+        memory.write(9, 0)
+        assert memory.top == 10
+        memory.write(3, 5)
+        assert memory.top == 10
+        memory.write_block(100, [1, 2])
+        memory.load_image(40, [7])
+        assert memory.top == 102
+        with pytest.raises(SegmentBoundsError):
+            memory.write(1024, 1)
+        with pytest.raises(SegmentBoundsError):
+            memory.write(-1, 1)
+        assert memory.top == 102
 
 
 class TestSnapshotFiles:
