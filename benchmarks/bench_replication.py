@@ -4,12 +4,13 @@ Two claims to pin:
 
 * **Shipping overhead is bounded** (ceiling, gated by
   ``REPRO_BENCH_STRICT``): serving the same gate-call load through a
-  gateway with ``--replicas 1`` — the slot journal tailed, framed,
-  shipped over TCP to an in-process standby, applied and verified on a
-  warm replica machine, acks absorbed — costs at most 15% wall clock
-  over the identical durable gateway with replication off.  The
-  shipper rides the gateway's event loop and the applier its own
-  executor thread, so the primary's call path should barely notice.
+  gateway with a replica — the slot journal tailed, its framed bytes
+  shipped over TCP to a ``repro standby`` process, each record parsed
+  once, applied and verified on a warm replica machine, acks absorbed
+  — costs at most 15% wall clock over the identical durable gateway
+  with replication off.  The shipper rides the gateway's event loop
+  and never parses a record, so the primary's call path should barely
+  notice.
 * **Hot failover beats cold restore** (ratio, gated >= 3x): promoting
   a warm follower (replay only the few records the shipping lag left
   behind, snapshot, recover the successor from that snapshot with an
@@ -37,8 +38,14 @@ from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.loadgen import run_load
 from repro.serve.workers import DurabilityConfig, GateCallEngine, _WorkerState
+from repro.state.journal import read_frames
 from repro.state.recover import JOURNAL_NAME, SNAPSHOT_NAME, recover_slot
-from repro.state.replication import JournalTailer, ReplicaApplier, read_frames
+from repro.state.replication import (
+    JournalTailer,
+    ReplicaApplier,
+    decode_span,
+    encode_span,
+)
 
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
 
@@ -203,7 +210,10 @@ def test_r1_replication_costs(benchmark, tmp_path):
     assert cold.replayed == TAIL_CALLS
     assert cold.engine.total.architectural() == primary_arch
 
-    frames = JournalTailer(os.path.join(slot_dir, JOURNAL_NAME)).poll()
+    # the follower's view: the journal's bytes through the ship wire
+    frames = decode_span(
+        encode_span(JournalTailer(os.path.join(slot_dir, JOURNAL_NAME)).poll())
+    )
     assert len(frames) == TAIL_CALLS
     snapshot_path = os.path.join(slot_dir, SNAPSHOT_NAME)
 
@@ -254,4 +264,4 @@ def test_r1_replication_costs(benchmark, tmp_path):
         )
 
     journal_path = os.path.join(slot_dir, JOURNAL_NAME)
-    benchmark(lambda: read_frames(journal_path, limit=8))
+    benchmark(lambda: read_frames(journal_path)[:8])

@@ -239,12 +239,12 @@ def _cmd_journal_dump(args: argparse.Namespace) -> int:
     import os
 
     from .state.recover import JOURNAL_NAME
-    from .state.replication import read_frames
+    from .state.journal import read_frames
 
     path = args.journal
     if os.path.isdir(path):
         path = os.path.join(path, JOURNAL_NAME)
-    frames = read_frames(path, limit=args.limit)
+    frames = read_frames(path)[: args.limit]
     if args.json:
         payload = {
             "path": path,
@@ -705,14 +705,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="K",
-        help="journal records per shipped replication frame",
+        help="most journal records per replication ship line",
     )
     serve.add_argument(
         "--ack-window",
         type=int,
         default=4,
         metavar="W",
-        help="shipped frames in flight before the shipper waits for "
+        help="ship lines in flight before the shipper waits for "
         "a standby ack",
     )
     serve.add_argument(

@@ -131,9 +131,10 @@ class GatewayConfig:
     #: warm standbys spawned in-process; each mirrors every slot by
     #: applying shipped journal records (requires ``durability_dir``)
     replicas: int = 0
-    #: journal records per shipped frame
+    #: most journal records per ship line (a line also stays under
+    #: the protocol's line limit)
     ship_every: int = 8
-    #: shipped frames in flight before the shipper waits for an ack
+    #: ship lines in flight before the shipper waits for an ack
     ack_window: int = 4
     #: external ``repro standby`` endpoints (``HOST:PORT``) to ship to,
     #: in addition to any in-process replicas

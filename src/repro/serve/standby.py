@@ -7,8 +7,8 @@ Three pieces, layered over :mod:`repro.state.replication`:
   one :class:`~repro.state.replication.ReplicaApplier` per primary
   slot, each on a fresh machine of the shape the slot's checkpoint
   records, so every machine profile and hardening replicates.  Verbs:
-  ``ship`` (apply a batch of CRC-checked frames, ack with the applied
-  seq), ``stats``/``audit`` (read-only health and architectural
+  ``ship`` (apply a span of the journal's bytes, ack with the
+  applied seq), ``stats``/``audit`` (read-only health and architectural
   figures answered locally, without touching the primary),
   ``promote`` (tail replay + promotion snapshot into the
   slot directory), ``lookup`` (call_id -> journaled result), ``bye``.
@@ -17,17 +17,21 @@ Three pieces, layered over :mod:`repro.state.replication`:
 * :class:`ReplicaSet` — the gateway-side half: spawns in-process
   standbys (``--replicas N``) and/or connects to external ones
   (``--replica-endpoint``), runs one shipper task per (follower,
-  slot) that tails the slot journal live and streams record batches
-  (``--ship-every`` records per frame, at most ``ack-window`` frames
-  in flight), tracks shipped/acked seq lag, and on pool death
-  promotes the lowest-lag follower per slot before the gateway
-  rebuilds its pool.
+  slot) that tails the slot journal live and streams its bytes (at
+  most ``--ship-every`` records per ship line, each line under the
+  protocol's :data:`~repro.serve.protocol.MAX_LINE_BYTES`, at most
+  ``ack-window`` lines in flight), tracks shipped/acked seq lag, and
+  on pool death promotes the lowest-lag follower per slot before the
+  gateway rebuilds its pool.
 
-Shipping is deliberately at-least-once: a reconnect or a promotion
-re-ships from the follower's last acked position, and the applier
-skips already-applied seqs idempotently.  Ordering and integrity come
-from the journal's own framing (seq chain + CRC, re-verified on
-arrival); the standby never needs to trust the shipper.
+A ``ship`` line carries ``first_seq`` and the journal's framed bytes
+for that run of records, unaltered (see
+:func:`~repro.state.replication.decode_span`): the shipper never
+parses a record, and the standby parses each once, as it applies it,
+one record per event-loop turn.  Shipping is deliberately
+at-least-once: a reconnect or a promotion re-ships from the follower's
+last acked position, and the applier skips already-applied seqs
+idempotently.  The standby never needs to trust the shipper.
 """
 
 from __future__ import annotations
@@ -35,17 +39,17 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError, JournalError, ReproError
+from ..state.journal import Frame
 from ..state.recover import JOURNAL_NAME, slot_engine
 from ..state.replication import (
-    Frame,
     JournalTailer,
     ReplicaApplier,
-    decode_frame,
-    encode_frame,
+    decode_span,
+    encode_span,
 )
 from .protocol import (
     MAX_LINE_BYTES,
@@ -70,6 +74,10 @@ STOP_GRACE = 5.0
 
 #: sanity bound on slot indices a ship/promote message may name
 MAX_SLOTS = 4096
+
+#: journal bytes per ship line: their base64 plus the message envelope
+#: stays under the protocol's line limit
+SPAN_BYTES = (MAX_LINE_BYTES - 256) // 4 * 3
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,10 @@ class StandbyServer:
     async def start(self) -> None:
         """Bind and serve; ``self.port`` holds the bound port after."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -134,7 +145,16 @@ class StandbyServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ConnectionError:
+                    break
+                except ValueError:
+                    # over the reader's limit: where the next line
+                    # starts is lost, so answer, then hang up
+                    too_long = error_response(
+                        ErrorCode.BAD_REQUEST,
+                        detail=f"request line exceeds {MAX_LINE_BYTES} bytes",
+                    )
+                    writer.write(encode(too_long))
                     break
                 if not line:
                     break
@@ -196,20 +216,16 @@ class StandbyServer:
         self, message: Dict[str, Any], request_id: Any
     ) -> Dict[str, Any]:
         slot = message.get("slot")
-        entries = message.get("frames")
-        if not isinstance(entries, list):
-            return error_response(
-                ErrorCode.BAD_REQUEST, request_id, detail="ship needs frames"
-            )
+        frames = decode_span(message)
         applier = self.applier_for(slot)
         applied = skipped = 0
         # Applying runs real gate calls on the event loop, one record
         # per turn: the loop is never held for more than one record,
         # and no executor hop is paid.  The slot lock serializes
-        # batches (the seq chain admits no concurrency).
+        # spans (the seq chain admits no concurrency).
         async with self._locks[slot]:
-            for entry in entries:
-                if applier.apply(decode_frame(entry)):
+            for frame in frames:
+                if applier.apply(frame):
                     applied += 1
                 else:
                     skipped += 1
@@ -532,16 +548,10 @@ class ReplicaSet:
         frames: List[Frame],
     ) -> None:
         pending = 0
-        for start in range(0, len(frames), self.config.ship_every):
-            chunk = frames[start : start + self.config.ship_every]
-            await conn.send(
-                {
-                    "verb": "ship",
-                    "slot": slot,
-                    "frames": [encode_frame(frame) for frame in chunk],
-                }
-            )
-            state.shipped_seq = chunk[-1].seq
+        for span in self._spans(frames):
+            message = {"verb": "ship", "slot": slot, **encode_span(span)}
+            await conn.send(message)
+            state.shipped_seq = span[-1].seq
             pending += 1
             if pending >= self.config.ack_window:
                 self._absorb_ack(state, await conn.recv())
@@ -549,6 +559,24 @@ class ReplicaSet:
         while pending:
             self._absorb_ack(state, await conn.recv())
             pending -= 1
+
+    def _spans(self, frames: List[Frame]) -> Iterator[List[Frame]]:
+        """Runs of at most ``ship_every`` frames and :data:`SPAN_BYTES`
+        bytes, one per ship line (a lone frame larger than that ships
+        alone, and the standby refuses its line)."""
+        span: List[Frame] = []
+        size = 0
+        for frame in frames:
+            if span and (
+                len(span) >= self.config.ship_every
+                or size + len(frame.data) > SPAN_BYTES
+            ):
+                yield span
+                span, size = [], 0
+            span.append(frame)
+            size += len(frame.data)
+        if span:
+            yield span
 
     def _absorb_ack(
         self, state: _SlotShipState, ack: Dict[str, Any]

@@ -15,8 +15,8 @@ serializable value.  This package exploits it.
   mode that cross-checks replayed outcomes against the journaled ones
   record by record;
 * :mod:`repro.state.replication` — the journal as a replication log:
-  live tailing, CRC-reusing ship frames, and warm replica appliers
-  with hot failover promotion.
+  live tailing, spans shipped as the journal's own bytes, and warm
+  replica appliers with hot failover promotion.
 
 The gateway (:mod:`repro.serve`) builds worker crash recovery and
 WAL-shipping replication out of these pieces; the ``repro checkpoint``
@@ -25,8 +25,9 @@ expose them directly.
 """
 
 from .journal import (
-    JournalReader,
+    Frame,
     JournalWriter,
+    read_frames,
     read_journal,
 )
 from .recover import (
@@ -36,12 +37,10 @@ from .recover import (
     replay_journal,
 )
 from .replication import (
-    Frame,
     JournalTailer,
     ReplicaApplier,
-    decode_frame,
-    encode_frame,
-    read_frames,
+    decode_span,
+    encode_span,
 )
 from .snapshot import (
     SNAPSHOT_FORMAT,
@@ -55,12 +54,11 @@ from .snapshot import (
 
 __all__ = [
     "Frame",
-    "JournalReader",
     "JournalTailer",
     "JournalWriter",
     "ReplicaApplier",
-    "decode_frame",
-    "encode_frame",
+    "decode_span",
+    "encode_span",
     "read_frames",
     "read_journal",
     "RecoveryResult",

@@ -12,17 +12,21 @@ Binary framing, one file per worker machine::
 
 Why CRC framing rather than trusting JSON to fail loudly: a torn write
 at the tail (the process died mid-append) must be *distinguishable*
-from corruption in the committed prefix.  The rules, enforced by
-:func:`read_journal`:
+from corruption in the committed prefix.  The rules, stated once in
+:func:`walk_frames` and applied by every reader (:func:`read_journal`,
+:class:`JournalWriter`'s open, the replication tailer and the
+standby's decode of shipped spans):
 
 * an incomplete header or payload at end-of-file is a **torn tail** —
-  silently dropped in recovery mode, an error in strict mode;
+  silently dropped in recovery mode, an error in strict mode; so is a
+  file that is a proper prefix of the magic header;
 * a CRC mismatch on the **final** record is treated the same way (the
   length prefix may itself be garbage from a torn write);
 * a CRC mismatch with committed records *after* it can never be a torn
   write and always raises :class:`repro.errors.JournalError`, as does a
-  sequence-number gap — the prefix was tampered with or the medium is
-  failing, and replaying around it would silently lose calls.
+  sequence-number gap wherever a payload is parsed — the prefix was
+  tampered with or the medium is failing, and replaying around it
+  would silently lose calls.
 
 :class:`JournalWriter` truncates a torn tail on open, then appends.
 Every append reaches the kernel before it returns (a ``write``, not an
@@ -38,7 +42,9 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 from zlib import crc32
 
 from ..errors import ConfigurationError, JournalError
@@ -48,106 +54,133 @@ MAGIC = b"RPJRNL1\n"
 _FRAME = struct.Struct("<II")
 
 
-def canonical_record_bytes(record: Dict[str, Any]) -> bytes:
-    """A record's canonical JSON: the exact payload bytes the journal
-    frames, so re-encoding a decoded record reproduces them (and their
-    CRC) byte for byte."""
-    return json.dumps(
+def _encode_record(record: Dict[str, Any]) -> bytes:
+    """One framed record: its canonical JSON (sorted keys, no spaces)
+    behind the length and CRC header."""
+    payload = json.dumps(
         record, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-
-
-def _encode_record(record: Dict[str, Any]) -> bytes:
-    payload = canonical_record_bytes(record)
     return _FRAME.pack(len(payload), crc32(payload)) + payload
 
 
-def _scan(
-    data: bytes, path: str, strict: bool
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Parse journal bytes; returns ``(records, good_length)``.
+@dataclass(frozen=True)
+class Frame:
+    """One intact journal frame: the seq its place in the chain gives
+    it, its CRC, its byte offset, and its bytes exactly as on disk."""
 
-    ``good_length`` is the byte offset one past the last intact record —
-    what a recovery-mode writer truncates the file to.
+    seq: int
+    crc: int
+    offset: int
+    data: bytes
+
+    @cached_property
+    def record(self) -> Dict[str, Any]:
+        """The payload, parsed on first read; its own ``seq`` must be
+        the frame's, or :class:`repro.errors.JournalError` is raised."""
+        try:
+            record = json.loads(self.data[_FRAME.size :])
+        except ValueError:
+            raise JournalError(
+                f"record at byte {self.offset} passed its CRC but is "
+                "not valid JSON"
+            ) from None
+        seq = record.get("seq") if isinstance(record, dict) else None
+        if seq != self.seq:
+            raise JournalError(
+                f"sequence gap — record at byte {self.offset} has seq "
+                f"{seq!r}, expected {self.seq}"
+            )
+        return record
+
+
+def header_end(data: bytes, where: str, strict: bool) -> Optional[int]:
+    """Where a journal file's frames begin: ``None`` for a proper
+    prefix of the magic header (a file still being created, or torn
+    while it was), which ``strict`` refuses like any other header."""
+    if data[: len(MAGIC)] == MAGIC:
+        return len(MAGIC)
+    if not strict and MAGIC.startswith(data):
+        return None
+    raise JournalError(f"{where}: no journal magic header")
+
+
+def walk_frames(
+    data: bytes,
+    where: str,
+    start: int = 0,
+    seq: int = 0,
+    strict: bool = False,
+    base: int = 0,
+) -> Tuple[List[Frame], int]:
+    """The intact frames of ``data[start:]``, numbered ``seq + 1,
+    seq + 2, ...``, and the offset one past the last of them.
+
+    Applies the framing rules of the module docstring: a torn tail
+    (or a final frame still being written) ends the walk unless
+    ``strict``.  Offsets are ``base`` plus the position in ``data``.
     """
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
-        if not data and not strict:
-            return [], 0
-        raise JournalError(f"{path!r} has no journal magic header")
-    records: List[Dict[str, Any]] = []
-    offset = len(MAGIC)
-    last_seq = 0
-    while offset < len(data):
-        if offset + _FRAME.size > len(data):
-            if strict:
-                raise JournalError(
-                    f"{path!r}: torn record header at byte {offset}"
-                )
+    frames: List[Frame] = []
+    pos = start
+    size = len(data)
+    while pos < size:
+        if pos + _FRAME.size > size:
+            flaw = "torn record header"
             break
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > len(data):
-            if strict:
-                raise JournalError(
-                    f"{path!r}: torn record payload at byte {offset}"
-                )
+        length, crc = _FRAME.unpack_from(data, pos)
+        end = pos + _FRAME.size + length
+        if end > size:
+            flaw = "torn record payload"
             break
-        payload = data[start:end]
-        if crc32(payload) != crc:
-            if strict or end < len(data):
+        if crc32(data[pos + _FRAME.size : end]) != crc:
+            if end < size:
                 # bytes after a bad CRC mean the damage is not a torn
                 # tail: refuse in every mode
                 raise JournalError(
-                    f"{path!r}: CRC mismatch in record at byte {offset}"
+                    f"{where}: CRC mismatch in record at byte {base + pos}"
                 )
+            flaw = "CRC mismatch in the final record"
             break
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except ValueError:
-            raise JournalError(
-                f"{path!r}: record at byte {offset} passed its CRC but "
-                "is not valid JSON"
-            ) from None
-        seq = record.get("seq")
-        if seq != last_seq + 1:
-            raise JournalError(
-                f"{path!r}: sequence gap — record at byte {offset} has "
-                f"seq {seq!r}, expected {last_seq + 1}"
-            )
-        last_seq = seq
-        records.append(record)
-        offset = end
-    return records, offset
+        seq += 1
+        frames.append(Frame(seq, crc, base + pos, data[pos:end]))
+        pos = end
+    else:
+        return frames, pos
+    if strict:
+        raise JournalError(f"{where}: {flaw} at byte {base + pos}")
+    return frames, pos
 
 
-def read_journal(path: str, strict: bool = False) -> List[Dict[str, Any]]:
-    """Read every intact record of a journal.
-
-    Recovery mode (default) drops a torn tail; ``strict`` raises
-    :class:`repro.errors.JournalError` for *any* imperfection.  A
-    missing file is an empty journal in recovery mode.
-    """
+def _walk_file(path: str, strict: bool) -> Tuple[List[Frame], int, int]:
+    """A journal file's intact frames, the offset one past the last of
+    them (0 for an empty journal), and the file's size."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
         if strict:
             raise JournalError(f"no journal at {path!r}") from None
-        return []
-    records, _ = _scan(data, path, strict)
-    return records
+        data = b""
+    start = header_end(data, path, strict)
+    if start is None:
+        return [], 0, len(data)
+    frames, end = walk_frames(data, path, start, strict=strict)
+    return frames, end, len(data)
 
 
-class JournalReader:
-    """Iterate journal records lazily (CLI replay of large journals)."""
+def read_frames(path: str, strict: bool = False) -> List[Frame]:
+    """Every intact frame of a journal, payloads not yet parsed.
 
-    def __init__(self, path: str, strict: bool = False):
-        self.path = path
-        self.strict = strict
+    Recovery mode (default) drops a torn tail; ``strict`` raises
+    :class:`repro.errors.JournalError` for *any* imperfection.  A
+    missing file is an empty journal in recovery mode.
+    """
+    return _walk_file(path, strict)[0]
 
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return iter(read_journal(self.path, strict=self.strict))
+
+def read_journal(path: str, strict: bool = False) -> List[Dict[str, Any]]:
+    """Every intact record of a journal, parsed and seq-checked (the
+    modes of :func:`read_frames`)."""
+    return [frame.record for frame in read_frames(path, strict)]
 
 
 class JournalWriter:
@@ -164,25 +197,20 @@ class JournalWriter:
         self.path = path
         self.fsync_every = fsync_every
         self._pending_syncs = 0
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            data = b""
-        records, good_length = _scan(data, path, strict=False)
-        self.last_seq = records[-1]["seq"] if records else 0
-        self._handle = open(path, "r+b" if data else "wb")
-        if not data:
-            # no fsync: a file with no records loses nothing, and the
-            # first sync makes the header durable with them
-            self._handle.write(MAGIC)
-            good_length = len(MAGIC)
-        elif good_length < len(data):
+        frames, good_length, size = _walk_file(path, strict=False)
+        # parsing every record checks the seq chain: a journal with a
+        # gap is refused, never extended
+        self.last_seq = len([frame.record for frame in frames])
+        self._handle = open(path, "ab")
+        if good_length < size:
             # the torn bytes are gone for good before anything follows
             self._handle.truncate(good_length)
             os.fsync(self._handle.fileno())
-        self._handle.seek(good_length)
-        self._handle.flush()
+        if not good_length:
+            # no fsync: a file with no records loses nothing, and the
+            # first sync makes the header durable with them
+            self._handle.write(MAGIC)
+            self._handle.flush()
 
     def append(self, record: Dict[str, Any]) -> int:
         """Append one record; returns the sequence number it received.

@@ -9,16 +9,19 @@ state-machine-replication log — this module adds the three mechanisms
 that turn it into one:
 
 * :class:`JournalTailer` — incremental live tailing of a journal that
-  is still being appended to.  Unlike :func:`~repro.state.journal.read_journal`,
-  which classifies a torn tail once and drops it, the tailer must
-  distinguish "torn" from "still being written": an incomplete or
+  is still being appended to, through the journal's one frame walker
+  (:func:`~repro.state.journal.walk_frames`): an incomplete or
   CRC-failing *final* frame is simply not shipped yet (the writer will
   either finish it or truncate it on restart), while damage with
-  committed bytes after it is fatal exactly as in recovery.
-* wire frames (:func:`encode_frame` / :func:`decode_frame`) — each
-  shipped record carries the CRC taken from the journal file itself,
-  re-verified against the canonical re-encoding on arrival, so
-  integrity holds end to end: disk frame -> wire -> replica.
+  committed bytes after it is fatal exactly as in recovery.  The
+  tailer checks CRCs but parses no payload.
+* shipped spans (:func:`encode_span` / :func:`decode_span`) — a run of
+  records travels as ``first_seq`` plus the journal's framed bytes
+  for it, unaltered.  The receiver walks them with ``strict``: every
+  CRC is checked, and each record's own seq must run ``first_seq,
+  first_seq + 1, ...`` when its payload is parsed — integrity holds
+  end to end, disk frame -> wire -> replica, and any altered byte
+  refuses the span.
 * :class:`ReplicaApplier` — a warm replica: an engine on the slot's
   recorded machine shape (:func:`~repro.state.recover.slot_engine`)
   that applies shipped records with the verified replay step of
@@ -41,16 +44,14 @@ flight at the crash dedup instead of double-executing.
 
 from __future__ import annotations
 
-import json
+import base64
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-from zlib import crc32
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import JournalError
-from .journal import MAGIC, _FRAME, canonical_record_bytes
+from .journal import Frame, header_end, walk_frames
 from .recover import (
     JOURNAL_NAME,
     replay_journal,
@@ -59,72 +60,35 @@ from .recover import (
 )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One journal record plus the CRC it carried on disk."""
-
-    seq: int
-    crc: int
-    record: Dict[str, Any]
-
-
-def encode_frame(frame: Frame) -> Dict[str, Any]:
-    """A frame as a wire entry inside a JSON-lines ``ship`` message."""
-    return {"seq": frame.seq, "crc": frame.crc, "record": frame.record}
-
-
-def decode_frame(entry: Dict[str, Any]) -> Frame:
-    """Parse and integrity-check one wire entry back into a frame.
-
-    Raises :class:`repro.errors.JournalError` when the re-canonicalized
-    record does not reproduce the shipped CRC (bit rot or tampering in
-    transit) or the envelope seq disagrees with the record's own.
-    """
-    record = entry.get("record")
-    if not isinstance(record, dict):
-        raise JournalError("shipped frame has no record object")
-    crc = entry.get("crc")
-    if crc32(canonical_record_bytes(record)) != crc:
-        raise JournalError(
-            f"shipped record seq {entry.get('seq')!r} failed its CRC"
-        )
-    seq = record.get("seq")
-    if seq != entry.get("seq"):
-        raise JournalError(
-            f"shipped frame seq {entry.get('seq')!r} disagrees with its "
-            f"record's seq {seq!r}"
-        )
-    return Frame(seq=seq, crc=crc, record=record)
-
-
 class JournalTailer:
-    """Incrementally read intact records from a live, growing journal.
+    """Incrementally read intact frames from a live, growing journal.
 
     The tailer remembers the byte offset one past the last intact
-    record it consumed and re-reads only from there, so polling a large
-    journal is O(new bytes).  Framing rules differ from recovery-mode
-    reads in exactly one way: an incomplete or CRC-failing **final**
+    frame it consumed and re-reads only from there, so polling a large
+    journal is O(new bytes).  An incomplete or CRC-failing **final**
     frame is *waited out*, not dropped — a concurrent appender may
     still be writing it, and if it was a genuine torn tail the
     restarting writer truncates it in place, after which the next poll
     re-reads the same offset and finds the replacement bytes.  Interior
-    damage (bad CRC with committed bytes after it, a sequence gap, bad
-    magic) is always fatal, as everywhere else.
+    damage (bad CRC with committed bytes after it, bad magic, a file
+    shrunk below the offset) is always fatal, as everywhere else.
+    Payloads are not parsed here: a seq gap is refused where they are.
 
-    ``since_seq`` parses but does not emit records at or below it — how
-    a shipper resumes against a follower that already applied a prefix.
+    ``since_seq`` consumes but does not emit frames at or below it —
+    how a shipper resumes against a follower that already applied a
+    prefix.
     """
 
     def __init__(self, path: str, since_seq: int = 0):
         self.path = path
         self.since_seq = since_seq
-        #: byte offset one past the last consumed record (0: header
+        #: byte offset one past the last consumed frame (0: header
         #: not yet consumed)
         self.offset = 0
-        #: seq of the last record parsed (consumed), emitted or not
+        #: seq of the last frame consumed, emitted or not
         self.last_seq = 0
 
-    def poll(self, max_records: Optional[int] = None) -> List[Frame]:
+    def poll(self) -> List[Frame]:
         """New intact frames appended since the last poll.
 
         Returns an empty list when nothing new (or only an incomplete
@@ -144,67 +108,45 @@ class JournalTailer:
                 data = handle.read()
         except FileNotFoundError:
             return []
-        base = self.offset
-        pos = 0
-        if base == 0:
-            if len(data) < len(MAGIC):
+        start = 0
+        if self.offset == 0:
+            start = header_end(data, self.path, strict=False)
+            if start is None:
                 return []  # header still being written
-            if data[: len(MAGIC)] != MAGIC:
-                raise JournalError(
-                    f"{self.path!r} has no journal magic header"
-                )
-            pos = len(MAGIC)
-        frames: List[Frame] = []
-        while True:
-            if max_records is not None and len(frames) >= max_records:
-                break
-            if pos + _FRAME.size > len(data):
-                break  # incomplete header: wait
-            length, crc = _FRAME.unpack_from(data, pos)
-            start = pos + _FRAME.size
-            end = start + length
-            if end > len(data):
-                break  # incomplete payload: wait
-            payload = data[start:end]
-            if crc32(payload) != crc:
-                if end < len(data):
-                    raise JournalError(
-                        f"{self.path!r}: CRC mismatch in committed record "
-                        f"at byte {base + pos}"
-                    )
-                break  # bad final record: torn or mid-write, wait
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except ValueError:
-                raise JournalError(
-                    f"{self.path!r}: record at byte {base + pos} passed "
-                    "its CRC but is not valid JSON"
-                ) from None
-            seq = record.get("seq")
-            if seq != self.last_seq + 1:
-                raise JournalError(
-                    f"{self.path!r}: sequence gap — record at byte "
-                    f"{base + pos} has seq {seq!r}, expected "
-                    f"{self.last_seq + 1}"
-                )
-            self.last_seq = seq
-            pos = end
-            self.offset = base + pos
-            if seq > self.since_seq:
-                frames.append(Frame(seq=seq, crc=crc, record=record))
-        return frames
+        frames, end = walk_frames(
+            data, self.path, start, seq=self.last_seq, base=self.offset
+        )
+        self.offset += end
+        self.last_seq += len(frames)
+        return [frame for frame in frames if frame.seq > self.since_seq]
 
 
-def read_frames(
-    path: str, limit: Optional[int] = None
-) -> List[Frame]:
-    """Every intact frame of a journal, with its on-disk CRC.
+def encode_span(frames: Sequence[Frame]) -> Dict[str, Any]:
+    """A run of consecutive frames as the fields of a ``ship`` message:
+    its first seq and its framed bytes, as the journal holds them."""
+    return {
+        "first_seq": frames[0].seq,
+        "bytes": base64.b64encode(
+            b"".join(frame.data for frame in frames)
+        ).decode("ascii"),
+    }
 
-    One-shot convenience over :class:`JournalTailer` for inspection
-    (``repro journal dump``); a torn tail is silently ignored exactly
-    as in recovery-mode reads.
-    """
-    return JournalTailer(path).poll(max_records=limit)
+
+def decode_span(message: Dict[str, Any]) -> List[Frame]:
+    """The frames of a shipped span, walked with ``strict``; each
+    record, when read, must carry the seq its place after
+    ``first_seq`` gives it (:class:`repro.errors.JournalError`)."""
+    first_seq = message.get("first_seq")
+    shipped = message.get("bytes")
+    if not (isinstance(first_seq, int) and isinstance(shipped, str)):
+        raise JournalError("a shipped span needs first_seq and bytes")
+    try:
+        data = base64.b64decode(shipped, validate=True)
+    except ValueError:
+        raise JournalError("shipped span bytes are not base64") from None
+    return walk_frames(
+        data, "shipped span", seq=first_seq - 1, strict=True
+    )[0]
 
 
 class ReplicaApplier:
@@ -230,24 +172,20 @@ class ReplicaApplier:
         self.recent: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
     def apply(self, frame: Frame) -> bool:
-        """Apply one shipped frame; returns whether it advanced state."""
-        return self.apply_record(frame.record)
+        """Apply one journal frame; returns whether it advanced state.
 
-    def apply_record(self, record: Dict[str, Any]) -> bool:
-        """Apply one journal record (already integrity-checked)."""
-        seq = record.get("seq")
-        if not isinstance(seq, int):
-            raise JournalError(f"shipped record has no seq: {record!r}")
-        if seq <= self.applied_seq:
+        Its payload is parsed only when it is applied.
+        """
+        if frame.seq <= self.applied_seq:
             self.skipped += 1
             return False
-        if seq != self.applied_seq + 1:
+        if frame.seq != self.applied_seq + 1:
             raise JournalError(
-                f"replication gap: got seq {seq}, expected "
+                f"replication gap: got seq {frame.seq}, expected "
                 f"{self.applied_seq + 1}"
             )
-        replay_record(self.engine, record, self.recent, verify=True)
-        self.applied_seq = seq
+        replay_record(self.engine, frame.record, self.recent, verify=True)
+        self.applied_seq = frame.seq
         self.applied += 1
         self.last_applied_at = time.monotonic()
         return True

@@ -13,7 +13,8 @@ the client-side per-call sums).
 """
 
 import asyncio
-import json
+import base64
+import logging
 import os
 import signal
 import threading
@@ -24,6 +25,7 @@ from repro.serve import workers
 from repro.serve.admission import RingPolicy
 from repro.serve.gateway import GatewayConfig, RingGateway
 from repro.serve.loadgen import run_load
+from repro.serve.protocol import MAX_LINE_BYTES, encode
 from repro.serve.standby import (
     ReplicaClient,
     ReplicationConfig,
@@ -32,12 +34,12 @@ from repro.serve.standby import (
 )
 from repro.sim.machine import Machine
 from repro.sim.metrics import MetricsSnapshot
+from repro.state.journal import read_frames
 from repro.state.recover import JOURNAL_NAME, recover_slot, slot_engine
 from repro.state.replication import (
     JournalTailer,
     ReplicaApplier,
-    encode_frame,
-    read_frames,
+    encode_span,
 )
 
 
@@ -140,20 +142,12 @@ class TestStandbyServer:
             client = await ReplicaClient.open("127.0.0.1", server.port)
             try:
                 ack = await client.request(
-                    {
-                        "verb": "ship",
-                        "slot": 0,
-                        "frames": [encode_frame(f) for f in frames[:4]],
-                    }
+                    {"verb": "ship", "slot": 0, **encode_span(frames[:4])}
                 )
                 assert ack["ok"] and ack["applied_seq"] == 4
                 # redelivery is skipped idempotently
                 ack = await client.request(
-                    {
-                        "verb": "ship",
-                        "slot": 0,
-                        "frames": [encode_frame(f) for f in frames],
-                    }
+                    {"verb": "ship", "slot": 0, **encode_span(frames)}
                 )
                 assert ack["applied_seq"] == 6
                 assert ack["skipped"] == 4
@@ -187,8 +181,8 @@ class TestStandbyServer:
         (frame,) = JournalTailer(
             os.path.join(durable_state.slot_dir, JOURNAL_NAME)
         ).poll()
-        entry = encode_frame(frame)
-        entry["record"] = dict(entry["record"], call_id="forged")
+        forged = frame.data.replace(b"call-alice-0", b"forged-call0")
+        assert forged != frame.data and len(forged) == len(frame.data)
 
         async def body():
             server = StandbyServer(StandbyConfig(dir=str(tmp_path)))
@@ -196,10 +190,30 @@ class TestStandbyServer:
             client = await ReplicaClient.open("127.0.0.1", server.port)
             try:
                 ack = await client.request(
-                    {"verb": "ship", "slot": 0, "frames": [entry]}
+                    {
+                        "verb": "ship",
+                        "slot": 0,
+                        "first_seq": 1,
+                        "bytes": base64.b64encode(forged).decode("ascii"),
+                    }
                 )
                 assert ack["ok"] is False
                 assert "CRC" in ack["detail"]
+                # the old wire format, a list of decoded records, is
+                # refused too
+                ack = await client.request(
+                    {
+                        "verb": "ship",
+                        "slot": 0,
+                        "frames": [
+                            {"seq": 1, "crc": frame.crc, "record": {}}
+                        ],
+                    }
+                )
+                assert ack["ok"] is False
+                assert ack["error"] == "bad_request"
+                stats = await client.request({"verb": "stats"})
+                assert stats["slots"] == {}  # nothing was applied
             finally:
                 await client.close()
                 await server.stop()
@@ -213,7 +227,7 @@ class TestStandbyServer:
         turn: a ``stats`` asked mid-batch on another connection is
         answered before the batch's ack, and no record is applied off
         the loop's thread."""
-        count = 96  # as many as one 64 KiB ship line holds
+        count = 64  # fits one ship line of at most 64 KiB
         for job in make_jobs(count):
             assert "error" not in durable_state.execute(job)
         frames = JournalTailer(
@@ -236,11 +250,7 @@ class TestStandbyServer:
             observer = await ReplicaClient.open("127.0.0.1", server.port)
             try:
                 await shipper.send(
-                    {
-                        "verb": "ship",
-                        "slot": 0,
-                        "frames": [encode_frame(f) for f in frames],
-                    }
+                    {"verb": "ship", "slot": 0, **encode_span(frames)}
                 )
                 applied_seq = 0
                 for _ in range(count):
@@ -260,6 +270,37 @@ class TestStandbyServer:
         assert 0 < applied_seq < count
         assert ack["ok"] and ack["applied_seq"] == count
         assert apply_threads == {threading.get_ident()}
+
+    def test_an_oversized_ship_line_gets_bad_request(
+        self, durable_state, tmp_path, caplog
+    ):
+        """A line over the protocol's limit is answered, not dropped
+        with an unhandled exception."""
+        for job in make_jobs(160):
+            assert "error" not in durable_state.execute(job)
+        frames = JournalTailer(
+            os.path.join(durable_state.slot_dir, JOURNAL_NAME)
+        ).poll()
+        ship = {"verb": "ship", "slot": 0, **encode_span(frames)}
+        assert len(encode(ship)) > MAX_LINE_BYTES
+
+        async def body():
+            server = StandbyServer(StandbyConfig(dir=str(tmp_path)))
+            await server.start()
+            client = await ReplicaClient.open("127.0.0.1", server.port)
+            try:
+                await client.send(ship)
+                return await client.recv()
+            finally:
+                await client.close()
+                await server.stop()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            response = run(body())
+        assert response["ok"] is False
+        assert response["error"] == "bad_request"
+        assert str(MAX_LINE_BYTES) in response["detail"]
+        assert "Unhandled exception" not in caplog.text
 
     def test_replication_config_validation(self):
         with pytest.raises(Exception, match="replicas"):
@@ -410,6 +451,61 @@ class TestReplicatedGateway:
             return report
 
         run(with_gateway(config, body))
+
+    def test_ship_every_above_one_line_still_reaches_zero_lag(
+        self, tmp_path, monkeypatch
+    ):
+        """With ``ship_every=256`` a backlog of 200 records is more than
+        one 64 KiB ship line holds: the shipper cuts it into several
+        lines and the follower catches up."""
+        durability = workers.DurabilityConfig(
+            dir=str(tmp_path), slots=1, checkpoint_interval=64,
+            fsync_every=8,
+        )
+        try:
+            primary = workers._WorkerState(durability)
+            for job in make_jobs(200, user="backlog"):
+                assert "error" not in primary.execute(job)
+            primary.journal.close()
+        finally:
+            workers.release_live_slots()
+        line_sizes = []
+        real_send = ReplicaClient.send
+
+        async def send(self, message):
+            if message.get("verb") == "ship":
+                line_sizes.append(len(encode(message)))
+            await real_send(self, message)
+
+        monkeypatch.setattr(ReplicaClient, "send", send)
+        config = gateway_config(
+            durability_dir=str(tmp_path),
+            checkpoint_interval=64,
+            fsync_every=8,
+            replicas=1,
+            ship_every=256,
+        )
+
+        async def body(gateway):
+            report = await run_load(
+                "127.0.0.1", gateway.port, sessions=4, calls=25
+            )
+            assert report.check() == [], report.check()
+            for _ in range(250):
+                (follower,) = gateway.stats_payload()["replication"][
+                    "followers"
+                ]
+                if follower["applied_seq"] == 200 + report.ok:
+                    break
+                await asyncio.sleep(0.02)
+            else:
+                pytest.fail(f"the follower never caught up: {follower}")
+            assert follower["lag_records"] == 0
+            assert follower["error"] is None
+
+        run(with_gateway(config, body))
+        assert len(line_sizes) >= 3
+        assert max(line_sizes) <= MAX_LINE_BYTES
 
     def test_stats_verb_carries_the_replication_block(self, tmp_path):
         config = gateway_config(

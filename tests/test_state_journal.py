@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError, JournalError
 from repro.state.journal import (
     MAGIC,
-    JournalReader,
     JournalWriter,
     _encode_record,
     read_journal,
@@ -36,11 +35,6 @@ class TestRoundTrip:
             assert writer.last_seq == 2
             assert writer.append({"x": 2}) == 3
         assert [r["seq"] for r in read_journal(str(path))] == [1, 2, 3]
-
-    def test_reader_is_iterable(self, tmp_path):
-        path = tmp_path / "j.bin"
-        write_records(path, [{"x": 7}])
-        assert [r["x"] for r in JournalReader(str(path))] == [7]
 
     def test_missing_file_is_empty_unless_strict(self, tmp_path):
         path = str(tmp_path / "absent.bin")

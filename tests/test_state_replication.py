@@ -1,27 +1,26 @@
 """The replication mechanism layer: frames, appliers, promotion.
 
 Everything here is synchronous and in-process — the journal written by
-a real durable worker is tailed, shipped through the wire codec, and
+a real durable worker is tailed, shipped as spans of its own bytes, and
 applied onto a warm replica, which is then promoted and recovered
 from.  The network half (standby server, shippers, gateway failover)
 is covered in tests/test_serve_standby.py.
 """
 
+import base64
 import json
 
 import pytest
 
 from repro.errors import JournalError, ReplayDivergenceError
 from repro.serve import workers
-from repro.state.journal import JournalWriter
+from repro.state.journal import _encode_record, read_frames, walk_frames
 from repro.state.recover import JOURNAL_NAME, recover_slot, slot_engine
 from repro.state.replication import (
-    Frame,
     JournalTailer,
     ReplicaApplier,
-    decode_frame,
-    encode_frame,
-    read_frames,
+    decode_span,
+    encode_span,
 )
 
 
@@ -68,31 +67,44 @@ class TestWireFrames:
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         )
         assert [f.seq for f in frames] == [1, 2, 3]
-        for frame in frames:
-            # through the wire's own JSON layer and back
-            entry = json.loads(json.dumps(encode_frame(frame)))
-            decoded = decode_frame(entry)
-            assert decoded == frame
+        # through the wire's own JSON layer and back
+        message = json.loads(json.dumps(encode_span(frames[1:])))
+        assert message["first_seq"] == 2
+        decoded = decode_span(message)
+        assert [(f.seq, f.crc, f.data) for f in decoded] == [
+            (f.seq, f.crc, f.data) for f in frames[1:]
+        ]
+        assert [f.record for f in decoded] == [f.record for f in frames[1:]]
 
     def test_tampered_record_fails_its_crc(self, durable_state):
         run_jobs(durable_state, make_jobs(1))
         (frame,) = read_frames(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         )
-        entry = encode_frame(frame)
-        entry["record"] = dict(entry["record"], call_id="forged")
+        forged = frame.data.replace(b"call-alice-0", b"call-alice-9")
+        assert forged != frame.data
+        message = {
+            "first_seq": 1,
+            "bytes": base64.b64encode(forged).decode("ascii"),
+        }
         with pytest.raises(JournalError, match="CRC"):
-            decode_frame(entry)
+            decode_span(message)
 
     def test_seq_envelope_mismatch_is_rejected(self, durable_state):
         run_jobs(durable_state, make_jobs(1))
         (frame,) = read_frames(
             str(durable_state.slot_dir) + "/" + JOURNAL_NAME
         )
-        entry = encode_frame(frame)
-        entry["seq"] = 99
+        message = dict(encode_span([frame]), first_seq=99)
+        (shipped,) = decode_span(message)
         with pytest.raises(JournalError, match="seq"):
-            decode_frame(entry)
+            shipped.record
+
+    def test_missing_fields_and_bad_base64_are_refused(self):
+        with pytest.raises(JournalError, match="first_seq"):
+            decode_span({"frames": []})
+        with pytest.raises(JournalError, match="base64"):
+            decode_span({"first_seq": 1, "bytes": "not base64!"})
 
 
 class TestReplicaApplier:
@@ -146,9 +158,11 @@ class TestReplicaApplier:
         record["result"]["payload"] = dict(
             record["result"]["payload"], a=424242
         )
+        # a well-framed record (valid CRC) whose outcome disagrees
+        (forged,), _ = walk_frames(_encode_record(record), "forged")
         applier = ReplicaApplier(slot_engine(durable_state.slot_dir))
         with pytest.raises(ReplayDivergenceError):
-            applier.apply_record(record)
+            applier.apply(forged)
 
     def test_lookup_serves_the_journaled_result(self, durable_state):
         results = run_jobs(durable_state, make_jobs(2))
